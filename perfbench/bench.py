@@ -353,7 +353,8 @@ def summary(result: RunResult) -> str:
             f"q1/median/q3 {q1:.4f}/{median:.4f}/{q3:.4f})"
         )
     for name, (value, unit) in result.metrics.items():
-        lines.append(f"  {name}: {value:.6g} {unit}")
+        note = " (computed from array shapes)" if name in layers.COMPUTED else ""
+        lines.append(f"  {name}: {value:.6g} {unit}{note}")
     for name, value in record.get("sim", {}).items():
         lines.append(f"  {name}: {value:.6g} (simulated)")
     lines.append(

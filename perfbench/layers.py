@@ -63,6 +63,9 @@ LAYER_CALLS: dict[str, tuple[str, ...]] = {
 }
 """Layer key -> workloads whose passes (or set-up) must call it."""
 
+COMPUTED = ("im2col.gather_bytes", "broadcast_weight.macs", "converters.samples")
+"""Counts computed from argument and result shapes, not measured."""
+
 
 def targets() -> list[Target]:
     """Every wrapped callable, by layer key.
