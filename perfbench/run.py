@@ -2,8 +2,8 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload fleet-burst --seed 0 --seconds 18 --trace 0
-    python3 perfbench/run.py --seconds 18          # all four workloads, one process
+    python3 perfbench/run.py --workload fleet-burst --seed 0 --seconds 15 --trace 0
+    python3 perfbench/run.py --seconds 15          # all four workloads, one process
 
 ``--trace 0`` reports the end-to-end metrics (``setup_s``,
 ``units_per_s``, ``peak_rss_mb``); ``--trace 1`` wraps the program's
@@ -44,7 +44,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
         "--workload", choices=RUN_ORDER + ("all",), default="all"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=18.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--size",

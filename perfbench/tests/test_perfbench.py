@@ -69,6 +69,10 @@ def test_traced_smoke_run_meets_predictions(name, tmp_path):
     assert not hasattr(cluster.ClusterSimulator.run, "__wrapped__")
 
 
+def test_every_layer_key_has_wrappers_and_a_prediction():
+    assert {t.layer for t in layers.targets()} == set(layers.LAYER_CALLS)
+
+
 def test_prediction_check_flags_a_misfiring_wrapper():
     calls = {key: 1.0 for key in layers.LAYER_CALLS}
     values = {m.name: 0.0 for m in layers.PER_LAYER}

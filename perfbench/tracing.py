@@ -1,11 +1,11 @@
 """In-memory span tracer that wraps the program's layers from outside.
 
-The program under ``src/`` is never edited: :func:`install` replaces each
-traced function or method with a wrapper, in every loaded ``repro``
-module that holds a reference to it, so a name imported directly into a
-caller (``from repro.core.simkernel import plan_dispatch``) is wrapped
-where that caller looks it up.  :meth:`Tracer.uninstall` puts every
-original back.
+The program under ``src/`` is never edited: :meth:`Tracer.install`
+replaces each traced function or method with a wrapper, in every loaded
+``repro`` module that holds a reference to it, so a name imported
+directly into a caller (``from repro.core.simkernel import
+plan_dispatch``) is wrapped where that caller looks it up.
+:meth:`Tracer.uninstall` puts every original back.
 
 Each wrapper records one span: its layer, start, duration and the span
 that called it (the innermost open span).  A layer's *self time* is the
