@@ -445,10 +445,14 @@ class CoreHealthState:
 
     Wraps the core's :class:`DriftingWeightBank` probe: closed-form
     composition of the schedule's events yields the core's
-    :class:`BankCondition` at any instant, the probe is re-tuned only
-    when that condition actually changes, and the measured weight error
-    is cached between changes.  Deterministic: the probe is seeded by
-    the core index and every input is a pure function of simulated time.
+    :class:`BankCondition` at any instant, the probe is moved only when
+    that condition actually changes, and the measured weight error is
+    cached between changes.  The probe itself redoes only the physics
+    whose inputs changed: a TIA-droop step rescales the cached transfer,
+    an optical change re-derives the detunings from the command's, and
+    only a recalibration re-runs the inverse Lorentzian.  Deterministic:
+    the probe is seeded by the core index and every input is a pure
+    function of simulated time.
 
     Args:
         core: physical core index.
@@ -525,7 +529,12 @@ class CoreHealthState:
         )
 
     def advance_to(self, time_s: float) -> None:
-        """Advance the probe to a dispatch instant (no-op if unchanged)."""
+        """Advance the probe to a dispatch instant (no-op if unchanged).
+
+        Called at every dispatch of a faulted run; what the probe
+        recomputes on a change is described on
+        :class:`~repro.photonics.drift.DriftingWeightBank`.
+        """
         condition = self.condition_at(time_s)
         if condition == self._condition:
             return

@@ -277,8 +277,12 @@ def validate_arrival_trace(arrival_s: np.ndarray) -> np.ndarray:
     over no requests has no latencies, no batches, and no percentiles,
     so every downstream metric would be undefined.
 
+    Non-finite times are rejected before the order check: a NaN
+    compares false against everything, so it would pass as sorted and
+    then break the two kernel modes in different ways.
+
     Raises:
-        ValueError: on an empty, non-1-D, or unsorted trace.
+        ValueError: on an empty, non-1-D, non-finite, or unsorted trace.
     """
     arrivals = np.asarray(arrival_s, dtype=float)
     if arrivals.size == 0:
@@ -289,6 +293,14 @@ def validate_arrival_trace(arrival_s: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"need a non-empty 1-D arrival trace, got shape "
             f"{arrivals.shape}"
+        )
+    # min and max propagate NaN and expose +-inf without allocating a
+    # mask the size of the trace.
+    if not (np.isfinite(arrivals.min()) and np.isfinite(arrivals.max())):
+        bad = arrivals[~np.isfinite(arrivals)]
+        raise ValueError(
+            f"arrival times must be finite; got {bad.size} non-finite, "
+            f"first {float(bad[0])!r}"
         )
     if np.any(np.diff(arrivals) < 0.0):
         raise ValueError("arrival times must be sorted ascending")

@@ -136,17 +136,36 @@ class BankCondition:
         )
 
 
+def _optics(condition: BankCondition) -> tuple:
+    """The part of a condition that moves resonances (all but TIA gain)."""
+    return (
+        condition.ambient_k,
+        condition.crosstalk_coupling,
+        condition.dead_rings,
+        condition.stuck_rings,
+    )
+
+
 class DriftingWeightBank:
     """A weight bank whose physical condition degrades over time.
 
     The wrapper owns a crosstalk-aware :class:`WeightBank` (so the
     balanced-detection readout reflects real Lorentzian physics, not the
-    calibrated lookup) and re-derives the full perturbation from scratch
-    on every command or condition change: commanded weights are written
-    to the rings, the thermal model mixes and shifts the detunings, dead
-    rings are parked and stuck rings restored.  Nothing compounds across
-    calls, so the state is a pure function of (command, condition) and
-    every measurement is bit-reproducible.
+    calibrated lookup) and derives the bank's detunings from (command,
+    condition): the command's detunings are mixed and shifted by the
+    thermal model, dead rings are parked, and stuck rings hold their
+    frozen command.  Nothing compounds across calls, so the state is a
+    pure function of (command, condition) and every measurement is
+    bit-reproducible.
+
+    Work whose inputs did not change is not redone.  The command's
+    detunings are kept until the next :meth:`set_weights`, so a condition
+    change re-derives the perturbation from them without re-running the
+    inverse Lorentzian.  The bank's unit-gain transfer is kept until the
+    command or the optical part of the condition (ambient, coupling,
+    dead rings, stuck rings) changes; a TIA-gain change alone only
+    rescales it.  Each cached value is exactly what the recompute would
+    produce, so results do not depend on the caches.
 
     The probe surface (``num_rings`` / ``set_weights`` /
     ``effective_weights``) matches :class:`WeightBank`, which is what
@@ -187,7 +206,8 @@ class DriftingWeightBank:
             else MicroringDesign(quality_factor=DEFAULT_PROBE_QUALITY_FACTOR)
         )
         # Crosstalk on (deterministic Lorentzian physics), random effects
-        # off: the probe must be exactly reproducible under a fixed seed.
+        # off: the probe must be exactly reproducible under a fixed seed,
+        # and re-commanding a vector must reproduce its detunings.
         noise = NoiseConfig(
             enabled=True,
             shot_noise=False,
@@ -197,9 +217,9 @@ class DriftingWeightBank:
         )
         self.bank = WeightBank(WdmGrid(self.targets.size), self.design, noise)
         self.condition = BankCondition()
-        self._commanded = self.targets.copy()
         self._stuck_commands: dict[int, float] = {}
-        self._retune()
+        self._transfer: np.ndarray | None = None
+        self._command(self.targets.copy())
 
     @property
     def num_rings(self) -> int:
@@ -230,9 +250,14 @@ class DriftingWeightBank:
         honoured = asked.copy()
         for ring, frozen in self._stuck_commands.items():
             honoured[ring] = frozen
+        self._command(honoured)
+
+    def _command(self, honoured: np.ndarray) -> None:
+        """Program ``honoured`` and keep the detunings it produced."""
         self.bank.set_weights(honoured)  # validates range
         self._commanded = honoured
-        self._retune(skip_command=True)
+        self._command_detunings = self.bank.detunings_hz
+        self._retune()
 
     def effective_weights(self) -> np.ndarray:
         """The balanced-detection readout under the current condition.
@@ -241,13 +266,17 @@ class DriftingWeightBank:
         through`` through the real (drifted) Lorentzian bank, scaled by
         the TIA gain.
         """
-        return self.condition.tia_gain * self.bank.effective_weights()
+        if self._transfer is None:
+            self._transfer = self.bank.effective_weights()
+        return self.condition.tia_gain * self._transfer
 
     def set_condition(self, condition: BankCondition) -> None:
         """Move the bank to a new physical condition and re-derive state.
 
         Rings newly listed as stuck freeze at their *current* command;
         rings that leave the stuck list thaw and accept commands again.
+        The detunings are re-derived only when the optical part of the
+        condition changed; a TIA-gain change alone rescales the readout.
         """
         previous = self.condition
         self.condition = condition
@@ -262,21 +291,26 @@ class DriftingWeightBank:
                     index, float(self._commanded[index])
                 )
             self._stuck_commands = kept
-        self._retune()
+        if _optics(condition) != _optics(previous):
+            self._retune()
 
-    def _retune(self, skip_command: bool = False) -> None:
-        """Recompute every detuning from (command, condition)."""
-        if not skip_command:
-            self.bank.set_weights(self._commanded)
+    def _retune(self) -> None:
+        """Derive the bank's detunings from (command, condition)."""
+        self.bank.detunings_hz = self._command_detunings
         condition = self.condition
         if condition.ambient_k > 0.0 or condition.crosstalk_coupling > 0.0:
             ThermalModel(
                 crosstalk_coupling=condition.crosstalk_coupling,
                 ambient_drift_k=condition.ambient_k,
             ).apply(self.bank)
-        for ring_index in condition.dead_rings:
-            ring = self.bank.rings[ring_index % self.num_rings]
-            ring.detuning_hz = _PARKED_DETUNING_LINEWIDTHS * ring.linewidth_hz
+        if condition.dead_rings:
+            dead = [ring % self.num_rings for ring in condition.dead_rings]
+            parked = self.bank.detunings_hz.copy()
+            parked[dead] = (
+                _PARKED_DETUNING_LINEWIDTHS * self.bank.linewidths_hz[dead]
+            )
+            self.bank.detunings_hz = parked
+        self._transfer = None
 
     def weight_error(self) -> float:
         """Max |readout - target| — the per-bank accuracy proxy."""

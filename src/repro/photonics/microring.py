@@ -225,12 +225,18 @@ class Microring:
 
     The class exposes both the forward transfer functions and the inverse
     (transmission -> required detuning) used for weight calibration.
+
+    Args:
+        target_frequency_hz: the channel the ring resonates at untuned.
+        design: ring design parameters.
+        detuning_hz: initial resonance offset from the target (Hz).
     """
 
     def __init__(
         self,
         target_frequency_hz: float,
         design: MicroringDesign | None = None,
+        detuning_hz: float = 0.0,
     ) -> None:
         if target_frequency_hz <= 0:
             raise ValueError(
@@ -238,7 +244,7 @@ class Microring:
             )
         self.design = design if design is not None else MicroringDesign()
         self.target_frequency_hz = float(target_frequency_hz)
-        self._detuning_hz = 0.0
+        self._detuning_hz = float(detuning_hz)
 
     # -- tuning ------------------------------------------------------------
 

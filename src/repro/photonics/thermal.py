@@ -6,14 +6,17 @@ drift moves every resonance together (~10 GHz/K for silicon rings).
 This module models both effects as resonance perturbations that can be
 applied to a :class:`~repro.photonics.weight_bank.WeightBank`, plus the
 standard mitigation — measuring the drifted weights and re-calibrating.
+Both act on the bank's detuning array in one vectorized step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from repro.photonics.microring import drop_transmission_profile
 from repro.photonics.weight_bank import WeightBank
 
 SILICON_THERMAL_SHIFT_HZ_PER_K = 10e9
@@ -51,7 +54,8 @@ class ThermalModel:
         """Heater-coupling matrix: entry (i, j) is ring j's leak onto i.
 
         Diagonal is 1 (a heater fully tunes its own ring); off-diagonals
-        decay geometrically with ring distance.
+        decay geometrically with ring distance.  The matrix is memoized
+        per (coupling, ring count) and returned read-only.
 
         Raises:
             ValueError: if ``num_rings`` is not an integer >= 1 (a float
@@ -66,9 +70,7 @@ class ThermalModel:
             )
         if num_rings < 1:
             raise ValueError(f"need at least one ring, got {num_rings!r}")
-        indices = np.arange(num_rings)
-        distance = np.abs(indices[:, None] - indices[None, :])
-        return self.crosstalk_coupling**distance
+        return _crosstalk_matrix(float(self.crosstalk_coupling), int(num_rings))
 
     def apply(self, bank: WeightBank) -> None:
         """Perturb the bank's ring detunings with both thermal effects.
@@ -76,11 +78,18 @@ class ThermalModel:
         The commanded detunings are mixed through the crosstalk matrix,
         then the uniform ambient shift is added to every resonance.
         """
-        commanded = np.array([ring.detuning_hz for ring in bank.rings])
-        mixed = self.crosstalk_matrix(bank.num_rings) @ commanded
-        ambient = self.ambient_drift_k * self.shift_hz_per_k
-        for ring, detuning in zip(bank.rings, mixed):
-            ring.detuning_hz = float(detuning + ambient)
+        mixed = self.crosstalk_matrix(bank.num_rings) @ bank.detunings_hz
+        bank.detunings_hz = mixed + self.ambient_drift_k * self.shift_hz_per_k
+
+
+@lru_cache(maxsize=64)
+def _crosstalk_matrix(coupling: float, num_rings: int) -> np.ndarray:
+    """The (read-only) heater-coupling matrix, built once per key."""
+    indices = np.arange(num_rings)
+    distance = np.abs(indices[:, None] - indices[None, :])
+    matrix = coupling**distance
+    matrix.flags.writeable = False
+    return matrix
 
 
 def thermal_weight_error(
@@ -100,13 +109,13 @@ def thermal_weight_error(
     bank.set_weights(np.asarray(target_weights, dtype=float))
     model.apply(bank)
     # After the thermal perturbation the banks' cached drop fractions are
-    # stale; recompute the effective weights from the physical rings.
-    frequencies = bank.grid.frequencies_hz
-    drops = np.array(
-        [
-            float(ring.drop_transmission(frequency))
-            for ring, frequency in zip(bank.rings, frequencies)
-        ]
+    # stale; recompute each ring's drop at its own channel from the
+    # perturbed resonances.
+    drops = drop_transmission_profile(
+        bank.frequencies_hz,
+        bank.resonances_hz,
+        bank.linewidths_hz,
+        bank.design.peak_drop_transmission,
     )
     effective = 2.0 * drops - 1.0
     return float(np.max(np.abs(effective - np.asarray(target_weights))))

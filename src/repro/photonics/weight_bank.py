@@ -23,10 +23,12 @@ Two fidelity levels are implemented:
   at every channel, with the bus cascade ordering taken into account, so
   inter-channel crosstalk and miscalibration perturb the result.
 
-The transfer path is array-first: calibration inverts the Lorentzian for
-the whole bank in one vectorized evaluation, the physical-mode response
-is a single ``(rings, channels)`` line-shape matrix with a cumulative
-bus cascade, and :meth:`WeightBank.apply` weights a single ``(channels,)``
+The transfer path is array-first: the bank's tuning state is one
+``(rings,)`` detuning array (channel frequencies and linewidths are
+fixed at construction), calibration inverts the Lorentzian for the whole
+bank in one vectorized evaluation, the physical-mode response is a
+single ``(rings, channels)`` line-shape matrix with a cumulative bus
+cascade, and :meth:`WeightBank.apply` weights a single ``(channels,)``
 wave or a batched ``(batch, channels)`` stack of waves alike.
 """
 
@@ -47,8 +49,19 @@ _MAX_DETUNING_LINEWIDTHS = 1e4
 """Detuning cap (in linewidths) used to realize a ~zero drop fraction."""
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only and return it."""
+    array.flags.writeable = False
+    return array
+
+
 class WeightBank:
     """A bank of tunable microrings realizing a signed weight vector.
+
+    The bank's whole tuning state is one ``(rings,)`` array of detunings,
+    ring ``k``'s resonance offset from channel ``k``; every transfer
+    function reads it, and :attr:`detunings_hz` is the only way to
+    retune rings other than :meth:`set_weights`.
 
     Args:
         grid: WDM grid; one ring is instantiated per channel.
@@ -56,8 +69,11 @@ class WeightBank:
         noise: non-ideality configuration.
 
     Attributes:
-        rings: the per-channel :class:`Microring` instances, in bus order
-            (channel 0 is encountered first on the bus).
+        frequencies_hz: read-only ``(rings,)`` channel frequencies, in bus
+            order (channel 0 is encountered first on the bus); ring ``k``
+            resonates at channel ``k`` when untuned.
+        linewidths_hz: read-only ``(rings,)`` FWHM linewidths, each at its
+            ring's own channel.
     """
 
     def __init__(
@@ -69,9 +85,11 @@ class WeightBank:
         self.grid = grid
         self.design = design if design is not None else MicroringDesign()
         self.noise = noise if noise is not None else ideal()
-        self.rings = [
-            Microring(frequency, self.design) for frequency in grid.frequencies_hz
-        ]
+        self.frequencies_hz = _read_only(grid.frequencies_hz)
+        self.linewidths_hz = _read_only(
+            self.frequencies_hz / self.design.quality_factor
+        )
+        self._detunings_hz = np.zeros(grid.num_channels, dtype=float)
         self._weights = np.zeros(grid.num_channels, dtype=float)
         self._drop_fractions = np.full(grid.num_channels, 0.5, dtype=float)
 
@@ -86,6 +104,44 @@ class WeightBank:
     def weights(self) -> np.ndarray:
         """The most recently programmed weight vector (copy)."""
         return self._weights.copy()
+
+    @property
+    def detunings_hz(self) -> np.ndarray:
+        """Every ring's resonance offset from its channel (read-only view)."""
+        return _read_only(self._detunings_hz.view())
+
+    @detunings_hz.setter
+    def detunings_hz(self, detunings: np.ndarray) -> None:
+        """Retune every ring at once (thermal perturbation, parking).
+
+        Raises:
+            ValueError: if the array does not hold one detuning per ring.
+        """
+        array = np.array(detunings, dtype=float)
+        if array.shape != (self.num_rings,):
+            raise ValueError(
+                f"expected {self.num_rings} detunings, got shape {array.shape}"
+            )
+        self._detunings_hz = array
+
+    @property
+    def resonances_hz(self) -> np.ndarray:
+        """Every ring's current resonance frequency, ``(rings,)``."""
+        return self.frequencies_hz + self._detunings_hz
+
+    @property
+    def rings(self) -> tuple[Microring, ...]:
+        """Per-ring :class:`Microring` snapshots of the current tuning.
+
+        Built from :attr:`detunings_hz` on every access, in bus order;
+        retuning a snapshot does not retune the bank.
+        """
+        return tuple(
+            Microring(frequency, self.design, detuning)
+            for frequency, detuning in zip(
+                self.frequencies_hz.tolist(), self._detunings_hz.tolist()
+            )
+        )
 
     def set_weights(self, weights: np.ndarray) -> None:
         """Program the bank to realize ``weights`` (each in [-1, +1]).
@@ -118,24 +174,17 @@ class WeightBank:
         self._drop_fractions = drops
         self._apply_detunings(drops)
 
-    @property
-    def _linewidths_hz(self) -> np.ndarray:
-        """Per-ring FWHM linewidths at each ring's own channel (Hz)."""
-        return self.grid.frequencies_hz / self.design.quality_factor
-
     def _apply_detunings(self, drop_fractions: np.ndarray) -> None:
-        """Tune each physical ring to realize its target drop fraction.
+        """Tune the bank to realize its target drop fractions.
 
-        The detunings for the whole bank are computed in one vectorized
-        inverse-Lorentzian evaluation, then written onto the ring objects.
+        The detunings for the whole bank come from one vectorized
+        inverse-Lorentzian evaluation and replace the detuning array.
         """
         peak = self.design.peak_drop_transmission
         targets = np.minimum(np.asarray(drop_fractions, dtype=float) * peak, peak)
-        detunings = detunings_for_drop(
-            targets, self._linewidths_hz, peak, _MAX_DETUNING_LINEWIDTHS
+        self._detunings_hz = detunings_for_drop(
+            targets, self.linewidths_hz, peak, _MAX_DETUNING_LINEWIDTHS
         )
-        for ring, detuning in zip(self.rings, detunings):
-            ring.detuning_hz = detuning
 
     # -- transfer ------------------------------------------------------------
 
@@ -150,20 +199,22 @@ class WeightBank:
 
         Returns:
             ``(drop, through)`` arrays of shape ``(num_channels,)`` with
-            ``0 <= drop, through`` and ``drop + through <= 1``.
+            ``0 <= drop, through`` and ``drop + through <= 1 + 4 eps``
+            (``eps`` the float64 machine epsilon): in exact arithmetic
+            ``drop + through == 1``, and the cascade's rounding can
+            overshoot that by a few ulps.
         """
         if not self.noise.crosstalk_active:
             drop = self._drop_fractions.copy()
             return drop, 1.0 - drop
 
-        frequencies = self.grid.frequencies_hz
-        resonances = np.array([ring.resonance_hz for ring in self.rings])
+        frequencies = self.frequencies_hz
         # Every ring's Lorentzian at every channel, one (rings, channels)
         # evaluation; row j is ring j's drop response across the grid.
         ring_drop = drop_transmission_profile(
             frequencies[None, :],
-            resonances[:, None],
-            self._linewidths_hz[:, None],
+            self.resonances_hz[:, None],
+            self.linewidths_hz[:, None],
             self.design.peak_drop_transmission,
         )
         ring_through = 1.0 - ring_drop

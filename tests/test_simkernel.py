@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import traffic
+from repro.core.cluster import ClusterTenant, simulate_cluster_serving
 from repro.core.faults import FaultPlugin, FaultSchedule
 from repro.core.simkernel import (
     BatchingPolicy,
@@ -59,6 +60,45 @@ class TestValidateArrivalTrace:
             validate_arrival_trace(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="sorted"):
             validate_arrival_trace(np.array([2.0, 1.0]))
+
+    NON_FINITE = (
+        [0.0, np.nan, 1.0],
+        [0.0, 1.0, np.inf],
+        [-np.inf, 0.0, 1.0],
+        [np.nan],
+    )
+
+    @pytest.mark.parametrize("trace", NON_FINITE)
+    def test_non_finite_trace_rejected(self, trace):
+        """NaN used to pass the sorted check (it compares false) and
+        +-inf sorted fine; both now fail at the front door."""
+        with pytest.raises(ValueError, match="must be finite"):
+            validate_arrival_trace(np.array(trace))
+
+    @pytest.mark.parametrize("trace", NON_FINITE)
+    def test_both_kernel_modes_raise_the_same_message(self, trace):
+        messages = []
+        for mode in ("reference", "vectorized"):
+            simulator = ServingSimulator(
+                model(), BatchingPolicy.dynamic(4, 1e-4), mode=mode
+            )
+            with pytest.raises(ValueError, match="must be finite") as caught:
+                simulator.run(np.array(trace))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("mode", ("reference", "vectorized"))
+    def test_cluster_front_door_rejects_non_finite(self, mode):
+        tenant = ClusterTenant(
+            name="solo",
+            specs=alexnet_conv_specs(),
+            policy=BatchingPolicy.dynamic(4, 1e-4),
+        )
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_cluster_serving(
+                [tenant], {"solo": np.array([0.0, np.nan, 1.0])},
+                pool_size=2, mode=mode,
+            )
 
 
 class RecordingPlugin(KernelPlugin):

@@ -56,6 +56,12 @@ class TestThermalModel:
         # numpy integer counts stay accepted (callers pass array sizes).
         assert model.crosstalk_matrix(np.int64(3)).shape == (3, 3)
 
+    def test_crosstalk_matrix_is_memoized_read_only(self):
+        matrix = ThermalModel(crosstalk_coupling=0.1).crosstalk_matrix(5)
+        assert ThermalModel(crosstalk_coupling=0.1).crosstalk_matrix(5) is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 0.0
+
     def test_ambient_drift_shifts_all_rings(self):
         bank = make_bank(4)
         bank.set_weights(np.zeros(4))

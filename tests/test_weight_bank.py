@@ -26,6 +26,24 @@ class TestConfiguration:
         assert bank.num_rings == 12
         assert len(bank.rings) == 12
 
+    def test_detunings_are_one_read_only_array(self):
+        bank = make_bank(4)
+        bank.set_weights(np.array([0.5, -0.5, 0.0, 1.0]))
+        detunings = bank.detunings_hz
+        with pytest.raises(ValueError):
+            detunings[0] = 0.0
+        assert [ring.detuning_hz for ring in bank.rings] == detunings.tolist()
+        assert np.array_equal(
+            bank.resonances_hz, bank.frequencies_hz + detunings
+        )
+
+    def test_detuning_setter_retunes_and_checks_shape(self):
+        bank = make_bank(3)
+        bank.detunings_hz = np.array([1e9, 2e9, 3e9])
+        assert [ring.detuning_hz for ring in bank.rings] == [1e9, 2e9, 3e9]
+        with pytest.raises(ValueError, match="detunings"):
+            bank.detunings_hz = np.zeros(4)
+
     def test_set_weights_shape_check(self):
         bank = make_bank(4)
         with pytest.raises(ValueError):
