@@ -12,11 +12,11 @@ measure on the shared clock:
 * :class:`AdaptiveRecalibration` — an EWMA drift estimator per core
   plus cost-aware scheduling: recalibrate when the *smoothed, projected*
   error crosses the threshold (a transient excursion no longer buys a
-  wasted drain), defer when the kernel queue is deep and the projected
+  wasted drain), defer when the host's queue is deep and the projected
   divergence still has headroom, and stop paying downtime once a
-  per-core budget is spent.  Runs as :class:`AdaptiveRecalPlugin` on the
-  unified event-loop kernel, and as a drop-in recalibration policy on
-  the cluster runtime.
+  per-core budget is spent.  A trigger of the shared
+  :class:`~repro.core.faults.HealthLedger`, so it runs on the unified
+  kernel (:class:`AdaptiveRecalPlugin`) and the cluster runtime alike.
 * :class:`BurnRateAdmission` — SLO-burn-rate admission for cluster
   tenants: alongside the static occupancy cap, shed arrivals while the
   fraction of recently completed requests over the SLO latency exceeds
@@ -34,9 +34,9 @@ makes decision-for-decision the same calls as its static baseline, so
 the run is *bit-identical* — same batches, same latency streams, same
 busy ledgers.  ``tests/test_adaptive.py`` pins all three.
 
-Controllers only read :class:`~repro.core.simkernel.KernelTelemetry`
-snapshots and the health states' measured errors; the dispatch-planning
-and pipeline-walk arithmetic is never touched.
+Controllers only read the health states' measured errors and the
+host's queue depth; the dispatch-planning and pipeline-walk arithmetic
+is never touched.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class AdaptiveRecalibration:
     out of the estimate instead of buying a drain, while sustained
     drift still triggers (slightly early, if a lead time is set).  Two
     cost gates trade recal downtime against projected divergence: a
-    deep kernel queue defers the drain while the projection has
-    headroom, and a per-core downtime budget stops paying entirely.
+    deep queue defers the drain while the projection has headroom, and
+    a per-core downtime budget stops paying entirely.
 
     At the :meth:`frozen` setting the controller is decision-for-
     decision the static policy: ``smoothing=1`` makes the EWMA the raw
@@ -111,10 +111,13 @@ class AdaptiveRecalibration:
         base: the static policy supplying threshold and costs.
         smoothing: EWMA weight on the newest error sample, in (0, 1].
         lead_time_s: projection horizon for the drift slope (>= 0).
-        pressure_hold: defer recalibration while the kernel queue holds
-            at least this many requests — unless the projection exceeds
-            ``hold_ceiling`` times the threshold.  ``None`` disables
-            the gate.
+        pressure_hold: defer recalibration while the host's queue
+            holds at least this many requests — unless the projection
+            exceeds ``hold_ceiling`` times the threshold.  ``None``
+            disables the gate.  Single-tenant serving reads the
+            scheduler queue (arrived, not yet dispatched); a cluster
+            lane reads ``queue_depth`` (admitted, not yet completed,
+            so in-flight requests count), so the hosts can differ.
         hold_ceiling: threshold multiple beyond which a pressure-held
             recalibration fires anyway (>= 1).
         downtime_budget_s: per-core recalibration downtime budget;
@@ -190,8 +193,11 @@ class AdaptiveDecision:
         error: the core's raw measured weight error.
         smoothed: the EWMA error level at the decision.
         projected: the level projected ``lead_time_s`` ahead.
-        queued: kernel queue depth the cost gate saw (-1 when the
-            pressure gate is disabled and the depth was not sampled).
+        queued: queue depth the cost gate saw (-1 when the pressure
+            gate is disabled and the depth was not sampled): the
+            scheduler queue (arrived, not yet dispatched) in
+            single-tenant serving, the lane's admitted-but-uncompleted
+            requests in a cluster.
     """
 
     time_s: float
@@ -306,10 +312,10 @@ class EwmaRecalDecider:
 class AdaptiveRecalPlugin(FaultPlugin):
     """:class:`FaultPlugin` with the EWMA controller as the trigger.
 
-    Only the trigger decision differs: drift state machines, the
-    calibration loop, the downtime arithmetic, and fault-aware
-    repartitioning are inherited verbatim, which is what makes the
-    frozen controller bit-identical to the static policy.
+    Only the trigger differs, and the ledger builds it from the
+    controller: drift state machines, the calibration loop, the downtime
+    arithmetic, and fault-aware repartitioning are shared verbatim,
+    which is what makes the frozen controller bit-identical.
 
     Args:
         schedule: the fault schedule to inject.
@@ -332,31 +338,21 @@ class AdaptiveRecalPlugin(FaultPlugin):
     ) -> None:
         super().__init__(
             schedule,
-            recalibration=controller.base,
+            recalibration=controller,
             specs=specs,
             config=config,
             fail_error_threshold=fail_error_threshold,
             probe_rings=probe_rings,
         )
         self.controller = controller
-        self.decider = controller.decider()
 
     def on_run_start(self, ctx: DispatchContext) -> None:
-        """Reset the inherited records plus the decision engine."""
-        super().on_run_start(ctx)
-        self.decider = self.controller.decider()
+        """Open the ledger with a fresh EWMA decider.
 
-    def _should_recalibrate(
-        self, ctx: DispatchContext, state: CoreHealthState, dispatch_s: float
-    ) -> bool:
-        queued = (
-            ctx.telemetry(dispatch_s).queued
-            if self.controller.pressure_hold is not None
-            else None
-        )
-        return self.decider.decide(
-            state, dispatch_s, self.downtime[state.core], queued=queued
-        )
+        Defined here, not only inherited, so perfbench's per-class
+        ``adaptive.serve`` timing keeps a hook.
+        """
+        super().on_run_start(ctx)
 
 
 @dataclass(frozen=True)
@@ -411,8 +407,9 @@ def simulate_adaptive_serving(
     report is bit-identical to the static policy's.
 
     Raises:
-        ValueError: on a conv-free network, invalid ``num_cores``, or a
-            bad trace.
+        ValueError: on a conv-free network, invalid ``num_cores``, a
+            non-positive or NaN ``fail_error_threshold``, or a bad
+            trace.
     """
     specs = network.conv_specs()
     model = PipelineServiceModel.from_specs(
@@ -426,24 +423,8 @@ def simulate_adaptive_serving(
         fail_error_threshold=fail_error_threshold,
     )
     run = EventLoopKernel(model, policy, (plugin,), mode=mode).run(arrival_s)
-    return AdaptiveServingReport(
-        policy=policy,
-        num_cores=run.initial_num_cores,
-        arrival_s=run.arrival_s,
-        dispatch_s=run.dispatch_s,
-        completion_s=run.completion_s,
-        batches=run.batches,
-        core_busy_s=run.core_busy_s,
-        schedule_name=schedule.name,
-        recalibration_name=controller.name,
-        accuracy_proxy=np.array(plugin.proxies),
-        batch_num_cores=np.array(plugin.widths, dtype=int),
-        batch_snapshots=tuple(plugin.snapshots),
-        core_downtime_s=tuple(plugin.downtime),
-        final_core_errors=tuple(state.error for state in plugin.states),
-        recalibrations=tuple(plugin.recalibrations),
-        repartitions=tuple(plugin.repartitions),
-        decisions=tuple(plugin.decider.decisions),
+    return AdaptiveServingReport.from_run(
+        run, policy, plugin, decisions=tuple(plugin.ledger.decider.decisions)
     )
 
 

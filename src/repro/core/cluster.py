@@ -27,10 +27,10 @@ runtime on the unified event-loop kernel (:mod:`repro.core.simkernel`):
   pipelines on the shared clock and re-partitioning each tenant's
   layers over its new width;
 * an optional :class:`~repro.core.faults.FaultSchedule` degrades the
-  *physical pool cores* — each carries the same
-  :class:`~repro.core.faults.CoreHealthState` drift state machine as
-  the degraded simulator, advanced at the owning tenant's dispatch
-  instants, with recalibration downtime paid into that tenant's clock;
+  *physical pool cores* through the same
+  :class:`~repro.core.faults.HealthLedger` the degraded simulator uses,
+  serviced at the owning tenant's dispatch instants, with recalibration
+  downtime paid into that tenant's clock;
 * :func:`replay_tenant_on_engine` re-executes any tenant's simulated
   batches on the real batched photonic engine at the per-batch pipeline
   widths elastic reallocation left behind — bit-identical to running
@@ -50,8 +50,8 @@ import numpy as np
 
 from repro.core.config import PCNNAConfig
 from repro.core.faults import (
-    CoreHealthState,
     FaultSchedule,
+    HealthLedger,
     RecalibrationPolicy,
     RecalibrationRecord,
 )
@@ -980,9 +980,8 @@ class ClusterSimulator:
         recalibration: online recalibration policy for degraded cores —
             the static :class:`~repro.core.faults.RecalibrationPolicy`
             or an adaptive
-            :class:`~repro.core.adaptive.AdaptiveRecalibration`
-            (anything with a ``decider()`` factory and a ``base``
-            policy).
+            :class:`~repro.core.adaptive.AdaptiveRecalibration`, whose
+            pressure gate reads the lane's :meth:`_TenantLane.queue_depth`.
         admission: per-tenant admission controllers
             (:class:`~repro.core.adaptive.BurnRateAdmission`), keyed by
             tenant name; a tenant without an entry keeps its static
@@ -1195,24 +1194,17 @@ class ClusterSimulator:
             for index, tenant in enumerate(self.tenants)
         ]
         free: list[tuple[int, float]] = [(core, 0.0) for core in self._free]
-        health: dict[int, CoreHealthState] = {}
-        if self.schedule is not None:
-            health = {
-                core: CoreHealthState(core, self.schedule, self.probe_rings)
-                for core in range(self.pool_size)
-            }
-        downtime = [0.0] * self.pool_size
-        recalibrations: list[RecalibrationRecord] = []
-        reallocations: list[ReallocationRecord] = []
-        # An adaptive recalibration policy (duck-typed on `decider`)
-        # gets one fresh decision engine per run.
-        decider = (
-            self.recalibration.decider()
-            if self.recalibration is not None
-            and hasattr(self.recalibration, "decider")
-            else None
+        ledger = (
+            None
+            if self.schedule is None
+            else HealthLedger(
+                self.schedule,
+                self.pool_size,
+                self.recalibration,
+                self.probe_rings,
+            )
         )
-        last_dispatch = 0.0
+        reallocations: list[ReallocationRecord] = []
 
         while True:
             candidates = []
@@ -1232,41 +1224,55 @@ class ClusterSimulator:
                 candidates,
                 key=lambda item: (item[0][0], self._tie_key(item[1])),
             )
-            last_dispatch = max(last_dispatch, dispatch)
-            if health:
-                self._degrade(
-                    lane, dispatch, health, downtime, recalibrations, decider
+            if ledger is not None:
+                ledger.service(
+                    lane.phys, lane.ctx.core_free, dispatch, lane.queue_depth
                 )
             lane.commit(dispatch, size)
             lane.proxies.append(
-                max(health[core].error for core in lane.phys)
-                if health
-                else 0.0
+                0.0 if ledger is None else ledger.worst_error(lane.phys)
             )
             if self.elastic is not None and (
                 len(lanes) > 1 or free
             ):
                 self._rebalance(dispatch, lanes, free, reallocations)
 
-        for state in health.values():
-            state.advance_to(last_dispatch)
+        if ledger is not None:
+            ledger.finish()
+        return self._report(
+            tuple(lane.report() for lane in lanes),
+            tuple(reallocations),
+            ledger,
+        )
+
+    def _report(
+        self,
+        tenants: tuple[TenantServingReport, ...],
+        reallocations: tuple[ReallocationRecord, ...] = (),
+        ledger: HealthLedger | None = None,
+    ) -> ClusterReport:
+        """The cluster report; a run without a ledger is pristine."""
+        pristine = (0.0,) * self.pool_size
         return ClusterReport(
             pool_size=self.pool_size,
             routing=self.routing.kind,
-            tenants=tuple(lane.report() for lane in lanes),
-            reallocations=tuple(reallocations),
+            tenants=tenants,
+            reallocations=reallocations,
             schedule_name=(
                 None if self.schedule is None else self.schedule.name
             ),
             recalibration_name=(
                 None if self.recalibration is None else self.recalibration.name
             ),
-            core_downtime_s=tuple(downtime),
-            final_core_errors=tuple(
-                health[core].error if health else 0.0
-                for core in range(self.pool_size)
+            core_downtime_s=(
+                pristine if ledger is None else tuple(ledger.downtime)
             ),
-            recalibrations=tuple(recalibrations),
+            final_core_errors=(
+                pristine if ledger is None else ledger.final_errors
+            ),
+            recalibrations=(
+                () if ledger is None else tuple(ledger.recalibrations)
+            ),
         )
 
     def _serve_lane_vectorized(
@@ -1368,82 +1374,16 @@ class ClusterSimulator:
         — each one vectorized — merged in tenant order into the same
         :class:`ClusterReport` the global event loop would emit.
         """
-        reports = tuple(
-            self._serve_lane_vectorized(
-                index,
-                tenant,
-                validate_arrival_trace(arrival_s[tenant.name]),
-            )
-            for index, tenant in enumerate(self.tenants)
-        )
-        return ClusterReport(
-            pool_size=self.pool_size,
-            routing=self.routing.kind,
-            tenants=reports,
-            reallocations=(),
-            schedule_name=None,
-            recalibration_name=(
-                None if self.recalibration is None else self.recalibration.name
-            ),
-            core_downtime_s=(0.0,) * self.pool_size,
-            final_core_errors=(0.0,) * self.pool_size,
-            recalibrations=(),
-        )
-
-    def _degrade(
-        self,
-        lane: _TenantLane,
-        dispatch: float,
-        health: dict[int, CoreHealthState],
-        downtime: list[float],
-        recalibrations: list[RecalibrationRecord],
-        decider=None,
-    ) -> None:
-        """Advance the lane's physical cores and pay recalibration.
-
-        The trigger is the static threshold test, or — when an adaptive
-        policy supplied a ``decider`` — the EWMA controller's decision;
-        either way the calibration loop and the downtime arithmetic are
-        identical, which keeps the frozen controller bit-identical.
-        """
-        for core in lane.phys:
-            health[core].advance_to(dispatch)
-        if self.recalibration is None:
-            return
-        base = self.recalibration if decider is None else self.recalibration.base
-        for stage, core in enumerate(lane.phys):
-            state = health[core]
-            if decider is None:
-                fire = state.should_recalibrate(base)
-            else:
-                fire = decider.decide(
-                    state,
-                    dispatch,
-                    downtime[core],
-                    queued=(
-                        lane.queue_depth(dispatch)
-                        if decider.controller.pressure_hold is not None
-                        else None
-                    ),
+        return self._report(
+            tuple(
+                self._serve_lane_vectorized(
+                    index,
+                    tenant,
+                    validate_arrival_trace(arrival_s[tenant.name]),
                 )
-            if not fire:
-                continue
-            result = state.recalibrate(base)
-            cost = base.downtime_s(result.iterations)
-            lane.ctx.core_free[stage] = (
-                max(lane.ctx.core_free[stage], dispatch) + cost
+                for index, tenant in enumerate(self.tenants)
             )
-            downtime[core] += cost
-            recalibrations.append(
-                RecalibrationRecord(
-                    time_s=dispatch,
-                    core=core,
-                    iterations=result.iterations,
-                    residual=state.error,
-                    downtime_s=cost,
-                    restored=state.error <= base.error_threshold,
-                )
-            )
+        )
 
 
 def simulate_cluster_serving(

@@ -20,30 +20,37 @@ simulated clock for the first time:
   (:func:`~repro.photonics.calibration.calibrate_bank` via the probe)
   when it crosses a threshold, costing the core real downtime on the
   shared clock;
+* one :class:`HealthLedger` per run owns that per-run fault state —
+  health states, trigger, calibration, downtime, records — for both
+  serving hosts: :class:`FaultPlugin` on the single-tenant kernel and
+  the :class:`~repro.core.cluster.ClusterSimulator` lane loop;
 * a fault-aware scheduler drains the pipeline and re-partitions the
   layers over the surviving cores (via
   :func:`~repro.core.multicore.balanced_partition` inside
   :class:`~repro.core.traffic.PipelineServiceModel`) when a core
-  degrades beyond what recalibration can restore;
+  degrades beyond what recalibration can restore (single tenant only:
+  :class:`FaultPlugin`);
 * :func:`replay_on_engine_degraded` re-executes the schedule's batches
   on the *real* engine with each core's conv weights pushed through the
   measured drift transfer, reporting golden-output divergence per batch.
 
-The engine is differential by construction: the whole event loop is the
-unified kernel of :mod:`repro.core.simkernel` — fault-and-drift
-bookkeeping rides along as :class:`FaultPlugin`, a kernel plugin whose
-hooks advance the drift state machines, pay recalibration downtime, and
+The engine is differential by construction: the single-tenant event
+loop is the unified kernel of :mod:`repro.core.simkernel` with
+:class:`FaultPlugin` attached, whose hooks drive the ledger and
 re-partition around failed cores, while dispatch planning and the
 pipeline walk stay the exact arithmetic the fault-free simulator uses.
 A zero-magnitude schedule therefore yields a bit-identical
 :class:`~repro.core.traffic.ServingReport` (and a bit-identical engine
-replay) — the property ``tests/test_differential_faults.py`` pins.
+replay) — the property ``tests/test_differential_faults.py`` pins — and
+a one-lane faulted cluster equals the single-tenant run without
+repartitioning, the pin of ``tests/test_health_ledger.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -55,6 +62,7 @@ from repro.core.simkernel import (
     DispatchContext,
     EventLoopKernel,
     KernelPlugin,
+    KernelRun,
 )
 from repro.core.traffic import (
     PipelineServiceModel,
@@ -71,12 +79,15 @@ from repro.photonics.drift import (
     drift_transfer,
 )
 
+if TYPE_CHECKING:
+    from repro.core.adaptive import AdaptiveRecalibration
+
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
 # the zero-magnitude differential pins this module's floats
-# bit-identical to the fault-free run, and CoreHealthState advances on
-# every dispatch of the event loop.
+# bit-identical to the fault-free run, and CoreHealthState and
+# HealthLedger run on every dispatch of both event loops.
 __bit_identity__ = True
-__hot_path__ = ("CoreHealthState",)
+__hot_path__ = ("CoreHealthState", "HealthLedger")
 
 FAULT_KINDS: tuple[str, ...] = (
     "thermal_ramp",
@@ -353,12 +364,18 @@ class RecalibrationPolicy:
                 f"error threshold must be finite and > 0, got "
                 f"{self.error_threshold!r}"
             )
-        if self.max_iterations < 1:
+        # Negated range tests, so NaN fails them too.
+        if not 1 <= self.max_iterations < math.inf:
             raise ValueError(
-                f"need >= 1 iteration, got {self.max_iterations!r}"
+                f"need a finite >= 1 iteration count, got "
+                f"{self.max_iterations!r}"
             )
-        if self.iteration_time_s < 0.0 or self.overhead_s < 0.0:
-            raise ValueError("recalibration times must be >= 0")
+        for cost in (self.iteration_time_s, self.overhead_s):
+            if not 0.0 <= cost < math.inf:
+                raise ValueError(
+                    f"recalibration times must be finite and >= 0, got "
+                    f"{cost!r}"
+                )
 
     def downtime_s(self, iterations: int) -> float:
         """Downtime one attempt with ``iterations`` iterations costs."""
@@ -610,6 +627,129 @@ class CoreHealthState:
         )
 
 
+class HealthLedger:
+    """All per-run fault state of one serving run, for either host.
+
+    The one recalibration rule of the serving stack.  At each dispatch
+    :meth:`service` advances the serving cores' drift state machines,
+    asks the trigger which cores fire, runs the calibration loop on
+    them, charges the downtime into the host's per-stage ``core_free``
+    clock, and records the attempt.  :class:`FaultPlugin` and
+    :class:`~repro.core.cluster.ClusterSimulator` are its only hosts.
+
+    The trigger is the static threshold test of a
+    :class:`RecalibrationPolicy`, or a fresh
+    :class:`~repro.core.adaptive.EwmaRecalDecider` for an
+    :class:`~repro.core.adaptive.AdaptiveRecalibration`, whose pressure
+    gate samples the queue-depth callable its host passes in.
+
+    Args:
+        schedule: the fault schedule (events for other cores ignored).
+        num_cores: physical cores tracked, indexed ``0..num_cores-1``.
+        recalibration: the static policy, the adaptive controller, or
+            ``None`` (drift is tracked, never corrected).
+        probe_rings: rings in each core's accuracy-probe bank.
+    """
+
+    __slots__ = (
+        "states",
+        "policy",
+        "decider",
+        "downtime",
+        "recalibrations",
+        "last_s",
+    )
+
+    def __init__(
+        self,
+        schedule: FaultSchedule,
+        num_cores: int,
+        recalibration: RecalibrationPolicy | AdaptiveRecalibration | None,
+        probe_rings: int = 8,
+    ) -> None:
+        self.states = [
+            CoreHealthState(core, schedule, probe_rings)
+            for core in range(num_cores)
+        ]
+        if recalibration is None or isinstance(
+            recalibration, RecalibrationPolicy
+        ):
+            self.policy = recalibration
+            self.decider = None
+        else:
+            self.policy = recalibration.base
+            self.decider = recalibration.decider()
+        self.downtime = [0.0] * num_cores
+        self.recalibrations: list[RecalibrationRecord] = []
+        self.last_s = 0.0
+
+    def service(
+        self,
+        cores: list[int],
+        core_free: list[float],
+        time_s: float,
+        queue_depth: Callable[[float], int],
+    ) -> None:
+        """Advance, trigger, recalibrate, charge downtime, and record.
+
+        ``cores`` is the physical core behind each pipeline stage and
+        ``core_free`` the host's per-stage clock, updated in place.
+        """
+        self.last_s = max(self.last_s, time_s)
+        states = self.states
+        for core in cores:
+            states[core].advance_to(time_s)
+        policy = self.policy
+        if policy is None:
+            return
+        decider = self.decider
+        for stage, core in enumerate(cores):
+            state = states[core]
+            if decider is None:
+                fire = state.should_recalibrate(policy)
+            else:
+                fire = decider.decide(
+                    state,
+                    time_s,
+                    self.downtime[core],
+                    queued=(
+                        queue_depth(time_s)
+                        if decider.controller.pressure_hold is not None
+                        else None
+                    ),
+                )
+            if not fire:
+                continue
+            result = state.recalibrate(policy)
+            cost = policy.downtime_s(result.iterations)
+            core_free[stage] = max(core_free[stage], time_s) + cost
+            self.downtime[core] += cost
+            self.recalibrations.append(
+                RecalibrationRecord(
+                    time_s=time_s,
+                    core=core,
+                    iterations=result.iterations,
+                    residual=state.error,
+                    downtime_s=cost,
+                    restored=state.error <= policy.error_threshold,
+                )
+            )
+
+    def worst_error(self, cores: list[int]) -> float:
+        """The accuracy proxy: the worst weight error over ``cores``."""
+        return max(self.states[core].error for core in cores)
+
+    def finish(self) -> None:
+        """Advance every core, drained ones too, to the last dispatch."""
+        for state in self.states:
+            state.advance_to(self.last_s)
+
+    @property
+    def final_errors(self) -> tuple[float, ...]:
+        """Per-core weight error right now."""
+        return tuple(state.error for state in self.states)
+
+
 @dataclass(frozen=True)
 class DegradedServingReport(ServingReport):
     """A :class:`ServingReport` plus everything degradation added.
@@ -639,6 +779,39 @@ class DegradedServingReport(ServingReport):
     final_core_errors: tuple[float, ...]
     recalibrations: tuple[RecalibrationRecord, ...]
     repartitions: tuple[RepartitionRecord, ...]
+
+    @classmethod
+    def from_run(
+        cls,
+        run: KernelRun,
+        policy: BatchingPolicy,
+        plugin: FaultPlugin,
+        **extra,
+    ) -> "DegradedServingReport":
+        """The report of one faulted run; ``extra`` fills subclass fields."""
+        ledger = plugin.ledger
+        recalibration = plugin.recalibration
+        return cls(
+            policy=policy,
+            num_cores=run.initial_num_cores,
+            arrival_s=run.arrival_s,
+            dispatch_s=run.dispatch_s,
+            completion_s=run.completion_s,
+            batches=run.batches,
+            core_busy_s=run.core_busy_s,
+            schedule_name=plugin.schedule.name,
+            recalibration_name=(
+                None if recalibration is None else recalibration.name
+            ),
+            accuracy_proxy=np.array(plugin.proxies),
+            batch_num_cores=np.array(plugin.widths, dtype=int),
+            batch_snapshots=tuple(plugin.snapshots),
+            core_downtime_s=tuple(ledger.downtime),
+            final_core_errors=ledger.final_errors,
+            recalibrations=tuple(ledger.recalibrations),
+            repartitions=tuple(plugin.repartitions),
+            **extra,
+        )
 
     @property
     def availability(self) -> tuple[float, ...]:
@@ -683,16 +856,15 @@ class DegradedServingReport(ServingReport):
 
 
 class FaultPlugin(KernelPlugin):
-    """Fault-and-drift bookkeeping as a plugin on the event-loop kernel.
+    """The single-tenant host of the :class:`HealthLedger`.
 
-    At every sealed dispatch the plugin advances each serving core's
-    drift state machine to the dispatch instant, lets the recalibration
-    policy drain cores (downtime pushed into the kernel's ``core_free``
-    clock), and — when a core degrades beyond recalibration's reach —
-    re-partitions the layers over the survivors by swapping the kernel's
-    service model and stage→core map.  After each batch it records the
-    accuracy proxy, the pipeline width, and the per-stage drift
-    snapshots the degraded engine replay consumes.
+    At every sealed dispatch the plugin services the ledger (its queue
+    signal is the scheduler queue: arrived, not yet dispatched) and —
+    when a core degrades beyond recalibration's reach — re-partitions
+    the layers over the survivors by swapping the kernel's service model
+    and stage→core map.  After each batch it records the accuracy proxy,
+    the pipeline width, and the per-stage drift snapshots the degraded
+    engine replay consumes.
 
     The plugin never touches dispatch planning or the pipeline-walk
     arithmetic, which is why a zero-magnitude schedule stays
@@ -700,26 +872,31 @@ class FaultPlugin(KernelPlugin):
 
     Args:
         schedule: the fault schedule to inject.
-        recalibration: online recalibration policy; ``None`` disables
-            recalibration entirely.
+        recalibration: static or adaptive recalibration policy;
+            ``None`` disables recalibration entirely.
         specs: the served network's conv layers; required for
             fault-aware repartitioning (``None`` disables it).
         config: hardware configuration used when repartitioning.
         fail_error_threshold: weight error beyond which a core is
             declared failed and drained out of the pipeline.
         probe_rings: rings in each core's accuracy-probe bank.
+
+    Raises:
+        ValueError: on a non-positive or NaN ``fail_error_threshold``.
     """
 
     def __init__(
         self,
         schedule: FaultSchedule,
-        recalibration: RecalibrationPolicy | None = None,
+        recalibration: (
+            RecalibrationPolicy | AdaptiveRecalibration | None
+        ) = None,
         specs: list[ConvLayerSpec] | None = None,
         config: PCNNAConfig | None = None,
         fail_error_threshold: float = 0.5,
         probe_rings: int = 8,
     ) -> None:
-        if fail_error_threshold <= 0.0:
+        if not fail_error_threshold > 0.0:
             raise ValueError(
                 f"fail threshold must be positive, got "
                 f"{fail_error_threshold!r}"
@@ -730,83 +907,45 @@ class FaultPlugin(KernelPlugin):
         self.config = config
         self.fail_error_threshold = fail_error_threshold
         self.probe_rings = probe_rings
-        self.states: list[CoreHealthState] = []
-        self.downtime: list[float] = []
+        self.ledger = HealthLedger(schedule, 0, recalibration, probe_rings)
         self.proxies: list[float] = []
         self.widths: list[int] = []
         self.snapshots: list[tuple[CoreDriftSnapshot, ...]] = []
-        self.recalibrations: list[RecalibrationRecord] = []
         self.repartitions: list[RepartitionRecord] = []
 
     def on_run_start(self, ctx: DispatchContext) -> None:
-        """Seed one drift state machine per physical pipeline core.
+        """Open a fresh ledger and reset every per-run record.
 
-        Every per-run record is reset here, so one plugin instance can
-        be attached to consecutive kernel runs without leaking state.
+        One plugin instance can therefore be attached to consecutive
+        kernel runs without leaking state.
         """
-        width = ctx.model.num_cores
-        self.states = [
-            CoreHealthState(core, self.schedule, self.probe_rings)
-            for core in range(width)
-        ]
-        self.downtime = [0.0] * width
+        self.ledger = HealthLedger(
+            self.schedule,
+            ctx.model.num_cores,
+            self.recalibration,
+            self.probe_rings,
+        )
         self.proxies = []
         self.widths = []
         self.snapshots = []
-        self.recalibrations = []
         self.repartitions = []
-
-    def _should_recalibrate(
-        self, ctx: DispatchContext, state: CoreHealthState, dispatch_s: float
-    ) -> bool:
-        """The recalibration trigger decision for one core, one instant.
-
-        The static policy's threshold test, factored out so the adaptive
-        control plane (:mod:`repro.core.adaptive`) can substitute a
-        telemetry-driven decision.  Whatever the trigger decides, the
-        recalibration *arithmetic* (the calibration loop, the downtime
-        charged into ``core_free``) is shared — which is why a frozen
-        adaptive trigger stays bit-identical to this one.
-        """
-        return state.should_recalibrate(self.recalibration)
 
     def on_dispatch_planned(
         self, ctx: DispatchContext, dispatch_s: float, size: int
     ) -> None:
-        """Advance the substrate, recalibrate, and repartition."""
-        states = self.states
+        """Service the ledger, then repartition around failed cores."""
         stage_to_core = ctx.stage_to_core
-        core_free = ctx.core_free
-
-        # -- substrate: advance every serving core to this instant --
-        for core in stage_to_core:
-            states[core].advance_to(dispatch_s)
-
-        # -- recalibration: drain a core, pay downtime on the clock --
-        if self.recalibration is not None:
-            for stage, core in enumerate(stage_to_core):
-                state = states[core]
-                if not self._should_recalibrate(ctx, state, dispatch_s):
-                    continue
-                result = state.recalibrate(self.recalibration)
-                cost = self.recalibration.downtime_s(result.iterations)
-                core_free[stage] = max(core_free[stage], dispatch_s) + cost
-                self.downtime[core] += cost
-                self.recalibrations.append(
-                    RecalibrationRecord(
-                        time_s=dispatch_s,
-                        core=core,
-                        iterations=result.iterations,
-                        residual=state.error,
-                        downtime_s=cost,
-                        restored=state.error
-                        <= self.recalibration.error_threshold,
-                    )
-                )
+        self.ledger.service(
+            stage_to_core,
+            ctx.core_free,
+            dispatch_s,
+            lambda t: int(np.searchsorted(ctx.arrivals, t, "right")) - ctx.head,
+        )
 
         # -- fault-aware scheduler: drain and re-partition around
         #    cores degraded beyond recalibration's reach --
         if self.specs is not None and len(stage_to_core) > 1:
+            states = self.ledger.states
             failing = [
                 core
                 for core in stage_to_core
@@ -816,7 +955,7 @@ class FaultPlugin(KernelPlugin):
                 survivors = [
                     core for core in stage_to_core if core not in failing
                 ]
-                drain = max(core_free)
+                drain = max(ctx.core_free)
                 ctx.model = PipelineServiceModel.from_specs(
                     self.specs,
                     len(survivors),
@@ -837,26 +976,16 @@ class FaultPlugin(KernelPlugin):
         self, ctx: DispatchContext, batch: BatchRecord
     ) -> None:
         """Record the batch's proxy, width, and drift snapshots."""
-        states = self.states
-        self.proxies.append(
-            max(states[core].error for core in ctx.stage_to_core)
-        )
+        states = self.ledger.states
+        self.proxies.append(self.ledger.worst_error(ctx.stage_to_core))
         self.widths.append(ctx.model.num_cores)
         self.snapshots.append(
             tuple(states[core].snapshot() for core in ctx.stage_to_core)
         )
 
     def on_run_end(self, ctx: DispatchContext) -> None:
-        """Advance every state machine to the final dispatch instant.
-
-        Drained cores stop being advanced by the dispatch loop; this
-        brings every state to the end of the run so
-        ``final_core_errors`` reports end-of-run degradation, not
-        drain-time snapshots.
-        """
-        final_time = ctx.batches[-1].dispatch_s
-        for state in self.states:
-            state.advance_to(final_time)
+        """Advance every state machine to the final dispatch instant."""
+        self.ledger.finish()
 
 
 class DegradedServingSimulator:
@@ -889,6 +1018,9 @@ class DegradedServingSimulator:
             kernel (plugins mutate the pipeline mid-run).  The argument
             exists so callers can spell the mode explicitly and get the
             same error surface everywhere.
+
+    Raises:
+        ValueError: on a non-positive or NaN ``fail_error_threshold``.
     """
 
     def __init__(
@@ -936,26 +1068,7 @@ class DegradedServingSimulator:
         run = EventLoopKernel(
             self.model, self.policy, (plugin,), mode=self.mode
         ).run(arrival_s)
-        return DegradedServingReport(
-            policy=self.policy,
-            num_cores=run.initial_num_cores,
-            arrival_s=run.arrival_s,
-            dispatch_s=run.dispatch_s,
-            completion_s=run.completion_s,
-            batches=run.batches,
-            core_busy_s=run.core_busy_s,
-            schedule_name=self.schedule.name,
-            recalibration_name=(
-                None if self.recalibration is None else self.recalibration.name
-            ),
-            accuracy_proxy=np.array(plugin.proxies),
-            batch_num_cores=np.array(plugin.widths, dtype=int),
-            batch_snapshots=tuple(plugin.snapshots),
-            core_downtime_s=tuple(plugin.downtime),
-            final_core_errors=tuple(state.error for state in plugin.states),
-            recalibrations=tuple(plugin.recalibrations),
-            repartitions=tuple(plugin.repartitions),
-        )
+        return DegradedServingReport.from_run(run, self.policy, plugin)
 
 
 def simulate_degraded_serving(
@@ -974,8 +1087,9 @@ def simulate_degraded_serving(
     """One-call degraded serving simulation for an executable network.
 
     Raises:
-        ValueError: on a conv-free network, invalid ``num_cores``, or a
-            bad trace.
+        ValueError: on a conv-free network, invalid ``num_cores``, a
+            non-positive or NaN ``fail_error_threshold``, or a bad
+            trace.
     """
     specs = network.conv_specs()
     model = PipelineServiceModel.from_specs(
@@ -1148,6 +1262,7 @@ __all__ = [
     "RepartitionRecord",
     "CoreDriftSnapshot",
     "CoreHealthState",
+    "HealthLedger",
     "DegradedServingReport",
     "DegradedServingSimulator",
     "DegradedReplay",

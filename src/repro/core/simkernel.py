@@ -307,33 +307,6 @@ def validate_arrival_trace(arrival_s: np.ndarray) -> np.ndarray:
     return arrivals
 
 
-@dataclass(frozen=True, slots=True)
-class KernelTelemetry:
-    """One pipeline's observable state at a dispatch instant.
-
-    The read-only signal surface the adaptive control plane
-    (:mod:`repro.core.adaptive`) consumes: queue depth and the per-core
-    clocks, snapshotted from a :class:`DispatchContext` without touching
-    any of the kernel's mutable state.  Controllers that only *read*
-    telemetry cannot perturb the bit-identity pins.
-
-    Attributes:
-        time_s: the dispatch instant the snapshot was taken at.
-        queued: requests arrived but not yet dispatched (queue depth).
-        head: index of the next request to dispatch.
-        num_stages: current pipeline width.
-        core_free_s: per-stage time the core frees up.
-        core_busy_s: per-physical-core accumulated busy time.
-    """
-
-    time_s: float
-    queued: int
-    head: int
-    num_stages: int
-    core_free_s: tuple[float, ...]
-    core_busy_s: tuple[float, ...]
-
-
 def plan_dispatch(
     arrivals: np.ndarray,
     head: int,
@@ -445,24 +418,6 @@ class DispatchContext:
     def done(self) -> bool:
         """Whether every request has been dispatched."""
         return self.head >= self.arrivals.size
-
-    def telemetry(self, time_s: float) -> KernelTelemetry:
-        """Snapshot the pipeline's observable state at ``time_s``.
-
-        Pure read: the snapshot copies the clocks and counts queued
-        requests (arrived at or before ``time_s``, not yet dispatched)
-        without mutating the context, so plugins may sample telemetry
-        at every hook without perturbing the kernel's arithmetic.
-        """
-        arrived = int(np.searchsorted(self.arrivals, time_s, side="right"))
-        return KernelTelemetry(
-            time_s=time_s,
-            queued=max(arrived - self.head, 0),
-            head=self.head,
-            num_stages=self.model.num_cores,
-            core_free_s=tuple(self.core_free),
-            core_busy_s=tuple(self.core_busy),
-        )
 
 
 def execute_dispatch(
@@ -985,7 +940,6 @@ __all__ = [
     "EventLoopKernel",
     "KernelPlugin",
     "KernelRun",
-    "KernelTelemetry",
     "execute_dispatch",
     "pipeline_completions",
     "plan_batches",

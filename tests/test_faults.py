@@ -353,6 +353,25 @@ class TestRecalibrationPolicy:
         with pytest.raises(ValueError, match="times"):
             RecalibrationPolicy(iteration_time_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("overhead_s", math.nan, "times"),
+            ("overhead_s", math.inf, "times"),
+            ("iteration_time_s", math.nan, "times"),
+            ("iteration_time_s", math.inf, "times"),
+            ("max_iterations", math.inf, "iteration"),
+            ("max_iterations", math.nan, "iteration"),
+        ],
+    )
+    def test_rejects_non_finite_costs_and_counts(self, field, value, match):
+        # Unchecked, a NaN overhead makes downtime and availability NaN
+        # while latencies skip it (max drops NaN), an infinite
+        # iteration time fails deep in the probe, and infinite
+        # iterations raise a TypeError.
+        with pytest.raises(ValueError, match=match):
+            RecalibrationPolicy(**{field: value})
+
 
 class TestFaultScenarios:
     @pytest.mark.parametrize("name", FAULT_SCENARIOS)
@@ -397,13 +416,14 @@ class TestDegradedReportSurface:
 
         specs = alexnet_conv_specs()
         model = PipelineServiceModel.from_specs(specs, 2)
-        with pytest.raises(ValueError, match="fail threshold"):
-            DegradedServingSimulator(
-                model,
-                BatchingPolicy.fifo(),
-                FaultSchedule.none(),
-                fail_error_threshold=0.0,
-            )
+        for threshold in (0.0, math.nan):
+            with pytest.raises(ValueError, match="fail threshold"):
+                DegradedServingSimulator(
+                    model,
+                    BatchingPolicy.fifo(),
+                    FaultSchedule.none(),
+                    fail_error_threshold=threshold,
+                )
         network = serving_network("lenet5")
         arrivals = poisson_arrivals(2e4, 20, seed=2)
         horizon = float(arrivals[-1])

@@ -205,7 +205,7 @@ class TestEventLoopKernel:
         assert len(plugin.proxies) == len(second.batches)
         assert len(plugin.widths) == len(second.batches)
         assert len(plugin.snapshots) == len(second.batches)
-        assert plugin.recalibrations == []
+        assert plugin.ledger.recalibrations == []
         assert plugin.repartitions == []
 
 
