@@ -561,9 +561,14 @@ class PressureController:
         )
 
     def thresholds(self, peak_pressure: float) -> tuple[float, int]:
-        """Effective ``(pressure_ratio, min_queue)`` at this pressure."""
+        """Effective ``(pressure_ratio, min_queue)`` at this pressure.
+
+        Zero gain returns the base barriers untouched rather than
+        dividing by a relief of 1: ``0 * inf`` is NaN, so an infinite
+        peak pressure would otherwise poison them.
+        """
         if self.gain == 0.0:
-            return self.base.pressure_ratio, self.base.min_queue
+            return self.base.thresholds(peak_pressure)
         relief = 1.0 + self.gain * max(peak_pressure, 0.0)
         ratio = max(self.base.pressure_ratio / relief, 1.0)
         min_queue = max(int(math.ceil(self.base.min_queue / relief)), 1)

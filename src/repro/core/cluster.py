@@ -54,6 +54,7 @@ from repro.core.faults import (
     HealthLedger,
     RecalibrationPolicy,
     RecalibrationRecord,
+    _repartition,
 )
 from repro.core.simkernel import (
     BatchingPolicy,
@@ -224,6 +225,10 @@ class ElasticReallocation:
                 f"min queue must be >= 1, got {self.min_queue!r}"
             )
 
+    def thresholds(self, peak_pressure: float) -> tuple[float, int]:
+        """Effective ``(pressure_ratio, min_queue)``: the constants."""
+        return self.pressure_ratio, self.min_queue
+
 
 @dataclass(frozen=True)
 class ReallocationRecord:
@@ -391,6 +396,19 @@ class ClusterReport:
         return "\n".join(lines)
 
 
+def _lane_policy(
+    tenant: ClusterTenant, admission
+) -> tuple[int | None, BatchingPolicy]:
+    """A lane's occupancy cap and its batching policy under that cap.
+
+    An admission controller (:class:`~repro.core.adaptive.BurnRateAdmission`)
+    owns the cap when supplied; a disabled one with the tenant's own cap
+    is decision-identical to the static path.
+    """
+    cap = admission.queue_cap if admission is not None else tenant.queue_cap
+    return cap, tenant.policy if cap is None else tenant.policy.capped(cap)
+
+
 class _TenantLane:
     """One tenant's queue + pipeline inside the cluster event loop.
 
@@ -420,7 +438,6 @@ class _TenantLane:
         "raw",
         "n",
         "cap",
-        "admission",
         "_burn",
         "policy",
         "ctx",
@@ -452,18 +469,9 @@ class _TenantLane:
         self.config = config
         self.raw = arrivals
         self.n = int(arrivals.size)
-        # An admission controller (repro.core.adaptive.BurnRateAdmission)
-        # owns the occupancy cap when supplied; its disabled setting with
-        # the tenant's own cap is decision-identical to the static path.
-        self.admission = admission
-        self.cap = (
-            admission.queue_cap if admission is not None else spec.queue_cap
-        )
+        self.cap, self.policy = _lane_policy(spec, admission)
         self._burn = (
             admission if admission is not None and admission.enabled else None
-        )
-        self.policy = (
-            spec.policy if self.cap is None else spec.policy.capped(self.cap)
         )
         model = PipelineServiceModel.from_specs(
             list(spec.specs), len(phys_cores), config
@@ -510,6 +518,19 @@ class _TenantLane:
         self.admitted += 1
         self.ptr += 1
 
+    def _judge(self) -> None:
+        """Admit or shed the next raw arrival, exactly."""
+        if self._admits(self.raw[self.ptr]):
+            self._admit()
+        else:
+            self.shed.append(float(self.raw[self.ptr]))
+            self.ptr += 1
+
+    def _completed_before(self, time_s: float) -> int:
+        """Requests in batches completed strictly before ``time_s``."""
+        done = bisect.bisect_left(self._completion_times, time_s)
+        return self._cum_completed[done - 1] if done else 0
+
     def _occupancy(self, time_s: float) -> int:
         """Uncompleted admitted requests at ``time_s``.
 
@@ -518,9 +539,7 @@ class _TenantLane:
         next raw arrival, so every admitted request arrived at or
         before ``time_s`` by construction.
         """
-        done = bisect.bisect_left(self._completion_times, time_s)
-        completed = self._cum_completed[done - 1] if done else 0
-        return self.admitted - completed
+        return self.admitted - self._completed_before(time_s)
 
     def _recent_latencies(self, time_s: float) -> np.ndarray:
         """Latencies of the burn window's completions before ``time_s``.
@@ -529,8 +548,7 @@ class _TenantLane:
         the information an online admission controller actually has.
         Pure read: the subtraction never feeds kernel state.
         """
-        done = bisect.bisect_left(self._completion_times, time_s)
-        completed = self._cum_completed[done - 1] if done else 0
+        completed = self._completed_before(time_s)
         start = max(completed - self._burn.window, 0)
         return (
             self.ctx.completion_s[start:completed]
@@ -566,11 +584,7 @@ class _TenantLane:
         head = ctx.head
         while head >= self.admitted and self.ptr < self.n:
             # Empty queue: all completions are known, judge exactly.
-            if self._admits(self.raw[self.ptr]):
-                self._admit()
-            else:
-                self.shed.append(float(self.raw[self.ptr]))
-                self.ptr += 1
+            self._judge()
         if head >= self.admitted:
             return None  # every request judged and served
         if self.cap is not None and self._burn is None:
@@ -601,9 +615,7 @@ class _TenantLane:
                 self.admitted_times[: self.admitted], time_s, side="right"
             )
         )
-        done = bisect.bisect_left(self._completion_times, time_s)
-        completed = self._cum_completed[done - 1] if done else 0
-        return max(arrived - completed, 0)
+        return max(arrived - self._completed_before(time_s), 0)
 
     def commit(self, dispatch: float, size: int) -> None:
         """Book the planned batch and judge the arrivals up to it.
@@ -616,11 +628,7 @@ class _TenantLane:
         batch — the committed batch's size was sealed at planning time.
         """
         while self.ptr < self.n and self.raw[self.ptr] <= dispatch:
-            if self._admits(self.raw[self.ptr]):
-                self._admit()
-            else:
-                self.shed.append(float(self.raw[self.ptr]))
-                self.ptr += 1
+            self._judge()
         batch = execute_dispatch(self.ctx, dispatch, size)
         self._completion_times.append(batch.completion_s)
         previous = self._cum_completed[-1] if self._cum_completed else 0
@@ -643,18 +651,10 @@ class _TenantLane:
     def resize(
         self, new_phys: list[int], joining_free_s: float = 0.0
     ) -> None:
-        """Re-partition the tenant's layers over a new core set.
-
-        The current pipeline drains first (the new partition needs its
-        weights re-programmed on every stage), and a core joining from
-        elsewhere is not usable before it frees up there.
-        """
-        drain = max(max(self.ctx.core_free), joining_free_s)
-        self.ctx.model = PipelineServiceModel.from_specs(
-            list(self.spec.specs), len(new_phys), self.config
+        """Drain and re-partition the tenant's layers over a new core set."""
+        _repartition(
+            self.ctx, self.spec.specs, new_phys, self.config, joining_free_s
         )
-        self.ctx.stage_to_core = list(new_phys)
-        self.ctx.core_free = [drain] * len(new_phys)
 
     def report(self) -> TenantServingReport:
         """The tenant's final serving report."""
@@ -973,8 +973,9 @@ class ClusterSimulator:
         elastic: elastic core reallocation policy; ``None`` freezes the
             initial allocation.  Accepts the static
             :class:`ElasticReallocation` or an adaptive
-            :class:`~repro.core.adaptive.PressureController` (anything
-            with a ``thresholds(peak_pressure)`` method).
+            :class:`~repro.core.adaptive.PressureController`; both
+            derive the move barriers from the peak queue pressure
+            through ``thresholds(peak_pressure)``.
         schedule: fault schedule over the *physical pool cores*;
             ``None`` keeps the pool pristine.
         recalibration: online recalibration policy for degraded cores —
@@ -1091,16 +1092,9 @@ class ClusterSimulator:
         pressures = {
             lane.index: lane.queue_depth(now) / lane.width for lane in active
         }
-        # An adaptive controller (duck-typed on `thresholds`) derives
-        # the barriers from the worst observed pressure; the static
-        # policy's constants pass through untouched.
-        thresholds = getattr(self.elastic, "thresholds", None)
-        if thresholds is None:
-            ratio = self.elastic.pressure_ratio
-            min_queue = self.elastic.min_queue
-        else:
-            peak = max(pressures.values(), default=0.0)
-            ratio, min_queue = thresholds(peak)
+        ratio, min_queue = self.elastic.thresholds(
+            max(pressures.values(), default=0.0)
+        )
         growable = [
             lane
             for lane in active
@@ -1179,21 +1173,43 @@ class ClusterSimulator:
                 "burn-rate admission controller; those runs have "
                 "mid-loop feedback; use mode='reference' (or 'auto')"
             )
-        if self.mode != "reference" and self._vectorizable:
-            return self._run_vectorized(arrival_s)
+        traces = {
+            index: validate_arrival_trace(arrival_s[tenant.name])
+            for index, tenant in enumerate(self.tenants)
+        }
+        if self.mode == "reference" or not self._vectorizable:
+            return self._serve_lanes(traces)
+        # Lane decomposition: a frozen K-tenant run is exactly K
+        # independent single-lane runs, merged in tenant order.
+        return self._report(
+            tuple(
+                self._serve_lane_vectorized(index, self.tenants[index], trace)
+                for index, trace in traces.items()
+            )
+        )
+
+    def _serve_lanes(self, traces: Mapping[int, np.ndarray]) -> ClusterReport:
+        """The cluster's one plan/commit event loop.
+
+        Opens a lane per ``traces`` entry (tenant index to validated
+        trace) on the tenant's initial cores, then plans every live
+        lane's next dispatch, commits the earliest (ties broken by the
+        routing policy), services the fault ledger on the committing
+        lane's cores, and lets the elastic reallocator move a core
+        before the next round.
+        """
         lanes = [
             _TenantLane(
                 index,
-                tenant,
-                validate_arrival_trace(arrival_s[tenant.name]),
+                self.tenants[index],
+                trace,
                 self._allocations[index],
                 self.pool_size,
                 self.config,
-                admission=self.admission.get(tenant.name),
+                admission=self.admission.get(self.tenants[index].name),
             )
-            for index, tenant in enumerate(self.tenants)
+            for index, trace in traces.items()
         ]
-        free: list[tuple[int, float]] = [(core, 0.0) for core in self._free]
         ledger = (
             None
             if self.schedule is None
@@ -1204,8 +1220,8 @@ class ClusterSimulator:
                 self.probe_rings,
             )
         )
+        free: list[tuple[int, float]] = [(core, 0.0) for core in self._free]
         reallocations: list[ReallocationRecord] = []
-
         while True:
             candidates = []
             for lane in lanes:
@@ -1289,13 +1305,7 @@ class ClusterSimulator:
         records for a frozen lane, bit for bit.
         """
         phys = self._allocations[index]
-        controller = self.admission.get(tenant.name)
-        cap = (
-            controller.queue_cap
-            if controller is not None
-            else tenant.queue_cap
-        )
-        policy = tenant.policy if cap is None else tenant.policy.capped(cap)
+        cap, policy = _lane_policy(tenant, self.admission.get(tenant.name))
         model = PipelineServiceModel.from_specs(
             list(tenant.specs), len(phys), self.config
         )
@@ -1341,49 +1351,12 @@ class ClusterSimulator:
     ) -> TenantServingReport:
         """Exact scalar fallback for one lane of the fast path.
 
-        A frozen lane shares no state with its neighbours, so driving
-        its :class:`_TenantLane` plan/commit loop in isolation is the
-        global event loop restricted to this tenant — bit for bit,
-        including the zero accuracy proxy a pristine pool records.
+        A frozen lane shares no state with its neighbours, so the global
+        event loop over this one lane is the cluster run restricted to
+        this tenant — bit for bit, including the zero accuracy proxy a
+        pristine pool records.
         """
-        lane = _TenantLane(
-            index,
-            tenant,
-            trace,
-            self._allocations[index],
-            self.pool_size,
-            self.config,
-            admission=self.admission.get(tenant.name),
-        )
-        while True:
-            plan = lane.plan()
-            if plan is None:
-                break
-            dispatch, size = plan
-            lane.commit(dispatch, size)
-            lane.proxies.append(0.0)
-        return lane.report()
-
-    def _run_vectorized(
-        self, arrival_s: Mapping[str, np.ndarray]
-    ) -> ClusterReport:
-        """Serve a frozen-allocation cluster on the fast path.
-
-        Lane decomposition: with the allocation frozen and no fault
-        state, a K-tenant run is exactly K independent single-lane runs
-        — each one vectorized — merged in tenant order into the same
-        :class:`ClusterReport` the global event loop would emit.
-        """
-        return self._report(
-            tuple(
-                self._serve_lane_vectorized(
-                    index,
-                    tenant,
-                    validate_arrival_trace(arrival_s[tenant.name]),
-                )
-                for index, tenant in enumerate(self.tenants)
-            )
-        )
+        return self._serve_lanes({index: trace}).tenants[0]
 
 
 def simulate_cluster_serving(

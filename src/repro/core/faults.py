@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -627,6 +627,28 @@ class CoreHealthState:
         )
 
 
+def _repartition(
+    ctx: DispatchContext,
+    specs: Sequence[ConvLayerSpec],
+    cores: list[int],
+    config: PCNNAConfig | None,
+    joining_free_s: float = 0.0,
+) -> None:
+    """Drain a pipeline and re-partition its layers over ``cores``.
+
+    Shared by :class:`FaultPlugin` (failed cores out) and the cluster
+    lanes (elastic core moves).  The pipeline drains first, since every
+    stage re-programs its weights, and a core joining from elsewhere is
+    not usable before it frees up there, at ``joining_free_s``.
+    """
+    drain = max(max(ctx.core_free), joining_free_s)
+    ctx.model = PipelineServiceModel.from_specs(
+        list(specs), len(cores), config
+    )
+    ctx.stage_to_core = list(cores)
+    ctx.core_free = [drain] * len(cores)
+
+
 class HealthLedger:
     """All per-run fault state of one serving run, for either host.
 
@@ -955,15 +977,7 @@ class FaultPlugin(KernelPlugin):
                 survivors = [
                     core for core in stage_to_core if core not in failing
                 ]
-                drain = max(ctx.core_free)
-                ctx.model = PipelineServiceModel.from_specs(
-                    self.specs,
-                    len(survivors),
-                    self.config,
-                    clamp_cores=True,
-                )
-                ctx.stage_to_core = survivors
-                ctx.core_free = [drain] * len(survivors)
+                _repartition(ctx, self.specs, survivors, self.config)
                 self.repartitions.append(
                     RepartitionRecord(
                         time_s=dispatch_s,

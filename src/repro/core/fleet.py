@@ -62,7 +62,7 @@ from repro.core.cluster import (
 from repro.core.config import PCNNAConfig
 from repro.core.faults import FaultSchedule, RecalibrationPolicy
 from repro.core.simkernel import validate_arrival_trace, validate_kernel_mode
-from repro.core.traffic import PipelineServiceModel
+from repro.core.traffic import PipelineServiceModel, _LatencyPercentiles
 
 # Contract marker checked by `python -m repro.lint` (BIT001): the
 # single-region zero-RTT fault-free fleet run is pinned bit-identical
@@ -346,7 +346,7 @@ class FleetTenantTrace:
 
 
 @dataclass(frozen=True)
-class RegionOutcome:
+class RegionOutcome(_LatencyPercentiles):
     """Everything one region did during a fleet run.
 
     Attributes:
@@ -378,38 +378,18 @@ class RegionOutcome:
         """Requests the region's admission control dropped."""
         return self.routed_in - self.num_served
 
-    def latency_percentile_s(self, percentile: float) -> float:
-        """An end-to-end latency percentile over the region's serves.
+    def _latency_stream(self) -> np.ndarray:
+        return self.latency_s
 
-        Raises:
-            ValueError: if the region served nothing — percentiles of
-                an empty stream are undefined.
-        """
-        if self.latency_s.size == 0:
-            raise ValueError(
-                f"region {self.name!r} served no requests — latency "
-                f"percentiles are undefined on an empty stream"
-            )
-        return float(np.percentile(self.latency_s, percentile))
-
-    @property
-    def p50_s(self) -> float:
-        """Median end-to-end latency at this region."""
-        return self.latency_percentile_s(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        """95th-percentile end-to-end latency at this region."""
-        return self.latency_percentile_s(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        """99th-percentile end-to-end latency at this region."""
-        return self.latency_percentile_s(99.0)
+    def _empty_latency_message(self) -> str:
+        return (
+            f"region {self.name!r} served no requests — latency "
+            f"percentiles are undefined on an empty stream"
+        )
 
 
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(_LatencyPercentiles):
     """Everything measured over one fleet run.
 
     Attributes:
@@ -494,34 +474,11 @@ class FleetReport:
             return np.array([])
         return np.concatenate(parts)
 
-    def latency_percentile_s(self, percentile: float) -> float:
-        """A global end-to-end latency percentile.
-
-        Raises:
-            ValueError: if the fleet served nothing.
-        """
-        latencies = self.latencies_s
-        if latencies.size == 0:
-            raise ValueError(
-                "fleet served no requests — latency percentiles are "
-                "undefined on an empty stream"
-            )
-        return float(np.percentile(latencies, percentile))
-
-    @property
-    def p50_s(self) -> float:
-        """Global median end-to-end latency."""
-        return self.latency_percentile_s(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        """Global 95th-percentile end-to-end latency."""
-        return self.latency_percentile_s(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        """Global 99th-percentile end-to-end latency."""
-        return self.latency_percentile_s(99.0)
+    def _empty_latency_message(self) -> str:
+        return (
+            "fleet served no requests — latency percentiles are "
+            "undefined on an empty stream"
+        )
 
     @property
     def failover_time_s(self) -> float:

@@ -545,8 +545,8 @@ def _maxplus_scan(e: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _maxplus_scan_const(e: np.ndarray, d: float, y0: float) -> np.ndarray:
     """Exact fold of ``y[k] = max(e[k], y[k-1] + d)`` with ``y[0] = y0``.
 
-    This is the core-0 back-pressure recurrence of the fifo and
-    fixed-size planners: dispatch at the later of the policy trigger
+    This is the core-0 back-pressure recurrence of the fixed-size
+    planner: dispatch at the later of the policy trigger
     (``e``) and core 0 freeing up ``d`` after the previous dispatch.
     ``y0`` is the caller-computed first dispatch (its reference
     arithmetic differs — it compares against the initial free time 0.0,
@@ -578,30 +578,17 @@ def _maxplus_scan_const(e: np.ndarray, d: float, y0: float) -> np.ndarray:
     return y
 
 
-def _plan_batches_fifo(
-    arrivals: np.ndarray, busy0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch boundaries for any ``max_batch == 1`` policy.
-
-    Every request dispatches alone at ``max(arrival, core-0 free)``.
-    """
-    n = arrivals.size
-    heads = np.arange(n, dtype=np.int64)
-    sizes = np.ones(n, dtype=np.int64)
-    b1 = float(busy0[1])
-    y0 = max(float(arrivals[0]), 0.0)
-    disp = _maxplus_scan_const(arrivals, b1, y0)
-    return heads, sizes, disp
-
-
 def _plan_batches_fixed(
     arrivals: np.ndarray, max_batch: int, busy0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch boundaries for ``max_wait_s == inf`` (fixed-size) policies.
+    """Batch boundaries for fixed-size and ``max_batch == 1`` policies.
 
     Every batch is exactly ``max_batch`` wide — it dispatches at the
     later of its fill time and core 0 freeing up, so all of its
     requests have always arrived — except a final partial flush batch.
+    At ``max_batch == 1`` the fill time is the head's own arrival, so
+    the wait budget never binds and every request dispatches alone at
+    ``max(arrival, core-0 free)``, whatever the policy's ``max_wait_s``.
     """
     n = arrivals.size
     m = max_batch
@@ -778,18 +765,16 @@ def plan_batches(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plan every batch of a pluginless run as arrays.
 
-    Routes on the policy's *attributes*, not its name: ``max_batch == 1``
-    is the fifo recipe whatever the wait budget (a solo head never waits
-    for batch-mates), an infinite wait budget is the fixed-size recipe,
-    and everything else is dynamic batching.  Returns per-batch
+    Routes on the policy's *attributes*, not its name: an infinite wait
+    budget or ``max_batch == 1`` is the fixed-size recipe (a solo head
+    never waits for batch-mates, so its wait budget cannot matter), and
+    everything else is dynamic batching.  Returns per-batch
     ``(first_request, size, dispatch_s)`` arrays, bit-identical to the
     reference loop's :func:`plan_dispatch` sequence.
     """
     m = policy.max_batch
     busy0 = model.weight_load_s[0] + np.arange(m + 1) * model.conv_time_s[0]
-    if m == 1:
-        return _plan_batches_fifo(arrivals, busy0)
-    if math.isinf(policy.max_wait_s):
+    if m == 1 or math.isinf(policy.max_wait_s):
         return _plan_batches_fixed(arrivals, m, busy0)
     return _plan_batches_dynamic(arrivals, policy, busy0)
 
@@ -895,30 +880,22 @@ class EventLoopKernel:
         )
 
     def _run_reference(self, arrivals: np.ndarray) -> KernelRun:
-        """The original per-event loop (and the only plugin host)."""
+        """The per-event loop: the only plugin host, and with no plugins
+        the scalar replay of the vectorized path, batch for batch."""
         ctx = DispatchContext(self.model, self.policy, arrivals)
         plugins = self.plugins
         num_requests = arrivals.size
         for plugin in plugins:
             plugin.on_run_start(ctx)
-        if plugins:
-            while ctx.head < num_requests:
-                dispatch, size = plan_dispatch(
-                    arrivals, ctx.head, ctx.policy, ctx.core_free[0]
-                )
-                for plugin in plugins:
-                    plugin.on_dispatch_planned(ctx, dispatch, size)
-                batch = execute_dispatch(ctx, dispatch, size)
-                for plugin in plugins:
-                    plugin.on_batch_complete(ctx, batch)
-        else:
-            # Zero-plugin reference run: identical arithmetic to the
-            # vectorized path, no per-batch hook dispatch.
-            while ctx.head < num_requests:
-                dispatch, size = plan_dispatch(
-                    arrivals, ctx.head, ctx.policy, ctx.core_free[0]
-                )
-                execute_dispatch(ctx, dispatch, size)
+        while ctx.head < num_requests:
+            dispatch, size = plan_dispatch(
+                arrivals, ctx.head, ctx.policy, ctx.core_free[0]
+            )
+            for plugin in plugins:
+                plugin.on_dispatch_planned(ctx, dispatch, size)
+            batch = execute_dispatch(ctx, dispatch, size)
+            for plugin in plugins:
+                plugin.on_batch_complete(ctx, batch)
         for plugin in plugins:
             plugin.on_run_end(ctx)
         return KernelRun(

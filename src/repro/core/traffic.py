@@ -180,8 +180,48 @@ class PipelineServiceModel:
         return self.partition.images_per_s
 
 
+class _LatencyPercentiles:
+    """The latency-percentile block every serving report shares.
+
+    A host supplies ``latencies_s`` (or overrides ``_latency_stream``)
+    and ``_empty_latency_message()``, its error for an empty stream.
+    """
+
+    def _latency_stream(self) -> np.ndarray:
+        return self.latencies_s
+
+    def latency_percentile_s(self, percentile: float) -> float:
+        """A latency percentile (linear interpolation, deterministic).
+
+        Raises:
+            ValueError: if the stream is empty — a percentile of no
+                latencies is undefined, and numpy's nan-and-
+                RuntimeWarning path would silently poison downstream
+                tables.
+        """
+        latencies = self._latency_stream()
+        if latencies.size == 0:
+            raise ValueError(self._empty_latency_message())
+        return float(np.percentile(latencies, percentile))
+
+    @property
+    def p50_s(self) -> float:
+        """Median latency."""
+        return self.latency_percentile_s(50.0)
+
+    @property
+    def p95_s(self) -> float:
+        """95th-percentile latency."""
+        return self.latency_percentile_s(95.0)
+
+    @property
+    def p99_s(self) -> float:
+        """99th-percentile latency."""
+        return self.latency_percentile_s(99.0)
+
+
 @dataclass(frozen=True)
-class ServingReport:
+class ServingReport(_LatencyPercentiles):
     """Everything measured over one simulated serving run.
 
     Attributes:
@@ -215,36 +255,11 @@ class ServingReport:
         """Per-request enqueue-to-completion latency."""
         return self.completion_s - self.arrival_s
 
-    def latency_percentile_s(self, percentile: float) -> float:
-        """A latency percentile (linear interpolation, deterministic).
-
-        Raises:
-            ValueError: if the report covers no requests — a percentile
-                of an empty trace is undefined, and numpy's nan-and-
-                RuntimeWarning path would silently poison downstream
-                tables.
-        """
-        if self.arrival_s.size == 0:
-            raise ValueError(
-                f"{self.policy.name}: no requests in the trace — latency "
-                f"percentiles are undefined on an empty report"
-            )
-        return float(np.percentile(self.latencies_s, percentile))
-
-    @property
-    def p50_s(self) -> float:
-        """Median latency."""
-        return self.latency_percentile_s(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        """95th-percentile latency."""
-        return self.latency_percentile_s(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        """99th-percentile latency."""
-        return self.latency_percentile_s(99.0)
+    def _empty_latency_message(self) -> str:
+        return (
+            f"{self.policy.name}: no requests in the trace — latency "
+            f"percentiles are undefined on an empty report"
+        )
 
     @property
     def makespan_s(self) -> float:
