@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.core.analytical import LayerAnalysis, analyze_layer
 from repro.core.config import PCNNAConfig
+from repro.core.multicore import _require_finite
 from repro.core.timing import LayerTimingResult, simulate_layer
 from repro.nn.im2col import im2col_batch_stacked
 from repro.nn.network import Network
@@ -191,7 +192,9 @@ class PhotonicConvolution:
             of the convolution (exact in ideal mode).
 
         Raises:
-            ValueError: on shape mismatches.
+            ValueError: on shape mismatches, or a NaN or infinite
+                element in either tensor (the affine encoding would turn
+                it into NaN outputs).
         """
         feature_map = np.asarray(feature_map, dtype=float)
         kernels = np.asarray(kernels, dtype=float)
@@ -207,6 +210,8 @@ class PhotonicConvolution:
                 f"kernels {kernels.shape} incompatible with input "
                 f"{feature_map.shape}"
             )
+        _require_finite("feature map", feature_map)
+        _require_finite("kernels", kernels)
 
         num_kernels = kernels.shape[0]
         kernel_size = kernels.shape[2]
@@ -418,7 +423,8 @@ class PCNNA:
             had one.
 
         Raises:
-            ValueError: if the input shape does not match the network.
+            ValueError: if the input shape does not match the network,
+                or an input element is NaN or infinite.
         """
         from repro.nn.layers import Conv2D
 
@@ -434,6 +440,7 @@ class PCNNA:
             raise ValueError(
                 f"expected input shape {network.input_shape}, got {inputs.shape}"
             )
+        _require_finite("network input", inputs)
         current = inputs
         for layer in network.layers:
             if isinstance(layer, Conv2D):

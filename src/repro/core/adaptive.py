@@ -55,6 +55,7 @@ from repro.core.faults import (
     FaultSchedule,
     RecalibrationPolicy,
 )
+from repro.core.multicore import _require_count
 from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
@@ -472,12 +473,9 @@ class BurnRateAdmission:
                 f"{self.slo_latency_s!r}"
             )
         _require_gain("burn rate", self.max_burn_rate)
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window!r}")
-        if self.queue_cap is not None and self.queue_cap < 1:
-            raise ValueError(
-                f"queue cap must be >= 1, got {self.queue_cap!r}"
-            )
+        _require_count("window", self.window)
+        if self.queue_cap is not None:
+            _require_count("queue cap", self.queue_cap)
 
     @classmethod
     def disabled(

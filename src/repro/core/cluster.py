@@ -56,6 +56,7 @@ from repro.core.faults import (
     RecalibrationRecord,
     _repartition,
 )
+from repro.core.multicore import _require_count
 from repro.core.simkernel import (
     BatchingPolicy,
     BatchTable,
@@ -123,11 +124,9 @@ class ClusterTenant:
                 f"{self.name}: weight must be finite and > 0, got "
                 f"{self.weight!r}"
             )
-        if self.queue_cap is not None and self.queue_cap < 1:
-            raise ValueError(
-                f"{self.name}: queue cap must be >= 1, got "
-                f"{self.queue_cap!r}"
-            )
+        _require_count(f"{self.name}: priority", self.priority, low=None)
+        if self.queue_cap is not None:
+            _require_count(f"{self.name}: queue cap", self.queue_cap)
 
     @classmethod
     def from_network(
@@ -220,10 +219,7 @@ class ElasticReallocation:
                 f"pressure ratio must be finite and >= 1, got "
                 f"{self.pressure_ratio!r}"
             )
-        if self.min_queue < 1:
-            raise ValueError(
-                f"min queue must be >= 1, got {self.min_queue!r}"
-            )
+        _require_count("min queue", self.min_queue)
 
     def thresholds(self, peak_pressure: float) -> tuple[float, int]:
         """Effective ``(pressure_ratio, min_queue)``: the constants."""

@@ -61,6 +61,7 @@ from repro.core.cluster import (
 )
 from repro.core.config import PCNNAConfig
 from repro.core.faults import FaultSchedule, RecalibrationPolicy
+from repro.core.multicore import _require_count
 from repro.core.simkernel import validate_arrival_trace, validate_kernel_mode
 from repro.core.traffic import PipelineServiceModel, _LatencyPercentiles
 
@@ -109,11 +110,7 @@ class RegionSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region needs a non-empty name")
-        if self.pool_size < 1:
-            raise ValueError(
-                f"{self.name}: pool size must be >= 1, got "
-                f"{self.pool_size!r}"
-            )
+        _require_count(f"{self.name}: pool size", self.pool_size)
 
 
 @dataclass(frozen=True)
@@ -236,10 +233,9 @@ class FleetAutoscaler:
             raise ValueError(
                 f"warm-up must be finite and >= 0, got {self.warmup_s!r}"
             )
-        if self.min_pools < 1:
-            raise ValueError(
-                f"min pools must be >= 1, got {self.min_pools!r}"
-            )
+        _require_count("min pools", self.min_pools)
+        if self.max_pools is not None:
+            _require_count("max pools", self.max_pools)
         if self.max_pools is not None and self.max_pools < self.min_pools:
             raise ValueError(
                 f"autoscaling bounds inverted: min_pools "

@@ -68,6 +68,45 @@ class PipelinePartition:
         return mean / self.bottleneck_s
 
 
+def _require_count(what: str, value, low: int | None = 1) -> None:
+    """Reject a count that is not an integer, or is below ``low``.
+
+    The one integer check of every count the serving stack takes.
+    ``bool`` is an ``int`` subclass and NaN compares false against
+    everything, so a bare ``value < low`` lets ``True``, ``2.5`` and
+    ``nan`` through — and the kernel modes then fail in different ways.
+    ``low=None`` checks the type only.
+
+    Raises:
+        ValueError: naming ``what``, on a non-integer or too-small value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value!r}")
+
+
+def _require_finite(what: str, values: np.ndarray) -> None:
+    """Reject a tensor holding NaN or +-inf.
+
+    Shared by the arrival-trace and photonic-engine front doors.
+    ``min`` and ``max`` propagate NaN and expose +-inf without
+    allocating a mask the size of the tensor; the mask is built only on
+    the error path, to name the first bad value.
+
+    Raises:
+        ValueError: naming ``what``, if any element is non-finite.
+    """
+    if values.size and not (
+        np.isfinite(values.min()) and np.isfinite(values.max())
+    ):
+        bad = values[~np.isfinite(values)]
+        raise ValueError(
+            f"{what} must be finite; got {bad.size} non-finite, "
+            f"first {float(bad[0])!r}"
+        )
+
+
 def validate_num_cores(
     num_cores: int, num_layers: int, clamp: bool = False
 ) -> int:
@@ -92,14 +131,7 @@ def validate_num_cores(
         ValueError: if ``num_cores`` is not an integer, is < 1, or
             exceeds ``num_layers`` with ``clamp`` off.
     """
-    if isinstance(num_cores, bool) or not isinstance(
-        num_cores, (int, np.integer)
-    ):
-        raise ValueError(
-            f"core count must be an integer, got {num_cores!r}"
-        )
-    if num_cores < 1:
-        raise ValueError(f"core count must be >= 1, got {num_cores!r}")
+    _require_count("core count", num_cores)
     if num_cores > num_layers:
         if clamp:
             return num_layers

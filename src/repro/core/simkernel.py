@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.multicore import _require_count, _require_finite
+
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
 # this module's floats are pinned bit-identical across modes, and the
 # listed classes are constructed per batch inside the event loop.
@@ -107,10 +109,7 @@ class BatchingPolicy:
     max_wait_s: float
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(
-                f"{self.name}: max batch must be >= 1, got {self.max_batch!r}"
-            )
+        _require_count(f"{self.name}: max batch", self.max_batch)
         if self.max_wait_s < 0.0 or math.isnan(self.max_wait_s):
             raise ValueError(
                 f"{self.name}: max wait must be >= 0, got {self.max_wait_s!r}"
@@ -294,14 +293,7 @@ def validate_arrival_trace(arrival_s: np.ndarray) -> np.ndarray:
             f"need a non-empty 1-D arrival trace, got shape "
             f"{arrivals.shape}"
         )
-    # min and max propagate NaN and expose +-inf without allocating a
-    # mask the size of the trace.
-    if not (np.isfinite(arrivals.min()) and np.isfinite(arrivals.max())):
-        bad = arrivals[~np.isfinite(arrivals)]
-        raise ValueError(
-            f"arrival times must be finite; got {bad.size} non-finite, "
-            f"first {float(bad[0])!r}"
-        )
+    _require_finite("arrival times", arrivals)
     if np.any(np.diff(arrivals) < 0.0):
         raise ValueError("arrival times must be sorted ascending")
     return arrivals

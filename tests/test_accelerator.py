@@ -124,6 +124,40 @@ class TestValidationAndModes:
         assert rel_error(0.001) < rel_error(0.05)
 
 
+class TestNonFiniteInputs:
+    """NaN or inf in either tensor is rejected at the front door, on
+    every execution path, instead of decoding to NaN outputs."""
+
+    PATHS = (
+        {"method": "matrix"},
+        {"method": "device"},
+        {"method": "device", "mode": "reference"},
+    )
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("kwargs", PATHS)
+    def test_feature_map_rejected(self, kwargs, bad):
+        x = np.zeros((1, 4, 4))
+        x[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="feature map must be finite"):
+            PhotonicConvolution(**kwargs).convolve(x, np.ones((1, 1, 2, 2)))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("kwargs", PATHS)
+    def test_kernels_rejected(self, kwargs, bad):
+        k = np.ones((2, 1, 2, 2))
+        k[1, 0, 0, 1] = bad
+        with pytest.raises(ValueError, match="kernels must be finite"):
+            PhotonicConvolution(**kwargs).convolve(np.zeros((1, 4, 4)), k)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_run_network_rejected(self, bad):
+        x = np.zeros((2, 1, 32, 32))
+        x[1, 0, 5, 5] = bad
+        with pytest.raises(ValueError, match="network input must be finite"):
+            PCNNA().run_network(build_lenet5(seed=2), x)
+
+
 class TestPCNNAFacade:
     def test_report_layer(self):
         accelerator = PCNNA()

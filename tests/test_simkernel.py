@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import traffic
-from repro.core.cluster import ClusterTenant, simulate_cluster_serving
+from repro.core.adaptive import BurnRateAdmission
+from repro.core.cluster import (
+    ClusterTenant,
+    ElasticReallocation,
+    simulate_cluster_serving,
+)
 from repro.core.faults import FaultPlugin, FaultSchedule
+from repro.core.fleet import FleetAutoscaler, RegionSpec
 from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
@@ -99,6 +105,47 @@ class TestValidateArrivalTrace:
                 [tenant], {"solo": np.array([0.0, np.nan, 1.0])},
                 pool_size=2, mode=mode,
             )
+
+
+def _tenant(**counts) -> ClusterTenant:
+    return ClusterTenant(
+        "t", alexnet_conv_specs(), BatchingPolicy.fifo(), **counts
+    )
+
+
+COUNT_FIELDS = {
+    "BatchingPolicy.max_batch": lambda v: BatchingPolicy("p", v, 0.0),
+    "ClusterTenant.queue_cap": lambda v: _tenant(queue_cap=v),
+    "ClusterTenant.priority": lambda v: _tenant(priority=v),
+    "ElasticReallocation.min_queue": lambda v: ElasticReallocation(
+        min_queue=v
+    ),
+    "BurnRateAdmission.window": lambda v: BurnRateAdmission(1e-3, window=v),
+    "BurnRateAdmission.queue_cap": lambda v: BurnRateAdmission(
+        1e-3, queue_cap=v
+    ),
+    "FleetAutoscaler.min_pools": lambda v: FleetAutoscaler(1.0, min_pools=v),
+    "FleetAutoscaler.max_pools": lambda v: FleetAutoscaler(1.0, max_pools=v),
+    "RegionSpec.pool_size": lambda v: RegionSpec("r", v),
+}
+
+
+class TestCountFields:
+    """Every count field takes integers only, checked at construction.
+
+    ``nan < 1`` is false, so a bare range test let NaN, ``2.5`` and
+    ``True`` through, and the two kernel modes then failed differently
+    (or not at all)."""
+
+    @pytest.mark.parametrize("bad", (np.nan, 2.5, True))
+    @pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+    def test_non_integer_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            COUNT_FIELDS[field](bad)
+
+    @pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+    def test_numpy_integer_accepted(self, field):
+        COUNT_FIELDS[field](np.int64(2))
 
 
 class RecordingPlugin(KernelPlugin):

@@ -57,6 +57,7 @@ POLICIES = (
     ("fifo", BatchingPolicy.fifo()),
     ("dynamic", BatchingPolicy.dynamic(8, 1e-4)),
     ("fixed", BatchingPolicy.fixed(6)),
+    ("fixed-1", BatchingPolicy.fixed(1)),
 )
 PATTERNS = ("poisson", "mmpp", "diurnal")
 
