@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.analytical import bank_area_mm2, rings_per_kernel_bank
+from repro.core.analytical import _kernels_per_pass, bank_area_mm2, rings_per_kernel_bank
 from repro.core.config import PCNNAConfig
 from repro.nn.shapes import ConvLayerSpec
 
@@ -49,14 +49,11 @@ def estimate_layer_area(
     """Floorplan estimate for running one layer on PCNNA.
 
     The ring area covers the instantiated banks (all K kernels unless
-    ``max_parallel_kernels`` caps them); periphery areas come from the
+    the config caps the bank count); periphery areas come from the
     cited parts' datasheets.
     """
     cfg = config if config is not None else PCNNAConfig()
-    if cfg.max_parallel_kernels is None:
-        num_banks = spec.num_kernels
-    else:
-        num_banks = min(spec.num_kernels, cfg.max_parallel_kernels)
+    num_banks = _kernels_per_pass(spec, cfg)
     per_bank = rings_per_kernel_bank(spec)
     rings_mm2 = bank_area_mm2(num_banks * per_bank, cfg)
     dac_mm2 = (

@@ -95,13 +95,10 @@ def network_batch_timing(
     if batch_size <= 0:
         raise ValueError(f"batch size must be positive, got {batch_size!r}")
     cfg = config if config is not None else PCNNAConfig()
-    weight_load = sum(weight_load_time_s(spec, cfg) for spec in specs)
-    conv = batch_size * sum(full_system_time_s(spec, cfg) for spec in specs)
-    return BatchTiming(
-        batch_size=batch_size,
-        total_time_s=weight_load + conv,
-        weight_load_s=weight_load,
-        conv_time_s=conv,
+    return _layer_sequential(
+        batch_size,
+        [weight_load_time_s(spec, cfg) for spec in specs],
+        [full_system_time_s(spec, cfg) for spec in specs],
     )
 
 
@@ -126,8 +123,19 @@ def network_batch_timing_simulated(
         raise ValueError(f"batch size must be positive, got {batch_size!r}")
     cfg = config if config is not None else PCNNAConfig()
     results = [simulate_layer(spec, cfg, include_adc) for spec in specs]
-    weight_load = sum(result.weight_load_time_s for result in results)
-    conv = batch_size * sum(result.pipelined_time_s for result in results)
+    return _layer_sequential(
+        batch_size,
+        [result.weight_load_time_s for result in results],
+        [result.pipelined_time_s for result in results],
+    )
+
+
+def _layer_sequential(
+    batch_size: int, weight_loads: list[float], conv_times: list[float]
+) -> BatchTiming:
+    """Weight-stationary composition: every weight load + B x every conv."""
+    weight_load = sum(weight_loads)
+    conv = batch_size * sum(conv_times)
     return BatchTiming(
         batch_size=batch_size,
         total_time_s=weight_load + conv,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.analytical import _kernels_per_pass
 from repro.core.config import PCNNAConfig
 from repro.core.scheduler import LayerSchedule
 from repro.nn.shapes import ConvLayerSpec
@@ -70,36 +71,47 @@ def stage_service_times(
     """Per-location service times for the four stages.
 
     Returns:
-        Array of shape ``(4, Nlocs)`` in STAGE_NAMES order, using the
-        same component models as :mod:`repro.core.timing` (SRAM-aware
+        Array of shape ``(4, Nlocs)`` in STAGE_NAMES order (SRAM-aware
         first-touch DRAM fetching, round-robin DAC/ADC scheduling).
+        :func:`repro.core.timing.simulate_layer` reduces this same
+        array.
     """
     cfg = config if config is not None else PCNNAConfig()
+    return _location_stages(spec, cfg, include_adc)[1]
+
+
+def _location_stages(
+    spec: ConvLayerSpec, cfg: PCNNAConfig, include_adc: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """DRAM-fetched values per location and the ``(4, Nlocs)`` times.
+
+    The one per-location stage model.  Converter times take the
+    component models' form, ``ceil(n / N) * sample_period_s`` (what
+    ``DacArray.schedule`` and ``AdcArray.schedule`` compute).
+    """
     schedule = LayerSchedule(spec)
     num_locations = schedule.num_locations
-    value_bytes = cfg.value_bytes
 
+    # DRAM fetch policy: if the SRAM cache holds the live m-row working
+    # set, each input value streams from DRAM only on its first window
+    # membership (row reuse); otherwise every window entry re-fetches.
     sram_fits = schedule.working_set_values() <= cfg.sram.capacity_words
-    first_touch = schedule.first_touch_counts()
     new_counts = schedule.new_value_counts()
-    fetched = first_touch if sram_fits else new_counts
+    fetched = schedule.first_touch_counts() if sram_fits else new_counts
 
-    fetch = fetched.astype(float) * value_bytes / cfg.dram.bandwidth_bytes_per_s
+    # Bursts ride an open row, so only bandwidth is paid per location.
+    fetch = fetched.astype(float) * cfg.value_bytes / cfg.dram.bandwidth_bytes_per_s
     per_dac = np.ceil(new_counts / cfg.num_input_dacs)
-    convert = per_dac / cfg.input_dac.sample_rate_hz
+    convert = per_dac * cfg.input_dac.sample_period_s
     compute = np.full(num_locations, cfg.fast_clock_period_s)
 
-    if cfg.max_parallel_kernels is None:
-        kernels = spec.num_kernels
-    else:
-        kernels = min(spec.num_kernels, cfg.max_parallel_kernels)
     if include_adc:
-        per_adc = -(-kernels // cfg.num_adcs)
-        digitize = np.full(num_locations, per_adc / cfg.adc.sample_rate_hz)
+        per_adc = -(-_kernels_per_pass(spec, cfg) // cfg.num_adcs)
+        digitize = np.full(num_locations, per_adc * cfg.adc.sample_period_s)
     else:
         digitize = np.zeros(num_locations)
 
-    return np.stack([fetch, convert, compute, digitize])
+    return fetched, np.stack([fetch, convert, compute, digitize])
 
 
 # repro: allow[API002] closed-form cycle-level model: every input is a
@@ -115,19 +127,17 @@ def simulate_pipeline(
         The :class:`PipelineResult` with the true makespan.
     """
     service = stage_service_times(spec, config, include_adc)
-    num_stages, num_jobs = service.shape
 
-    finish = np.zeros((num_stages, num_jobs))
-    for job in range(num_jobs):
+    # finish[stage] holds the previous job's exit until this job leaves.
+    finish = [0.0] * len(service)
+    for job_service in service.T.tolist():
         upstream_done = 0.0
-        for stage in range(num_stages):
-            server_free = finish[stage, job - 1] if job > 0 else 0.0
-            start = max(upstream_done, server_free)
-            finish[stage, job] = start + service[stage, job]
-            upstream_done = finish[stage, job]
+        for stage, service_s in enumerate(job_service):
+            upstream_done = max(upstream_done, finish[stage]) + service_s
+            finish[stage] = upstream_done
 
-    makespan = float(finish[-1, -1])
-    busy = tuple(float(service[stage].sum()) for stage in range(num_stages))
+    makespan = finish[-1]
+    busy = tuple(float(stage_service.sum()) for stage_service in service)
     return PipelineResult(spec=spec, makespan_s=makespan, stage_busy_s=busy)
 
 

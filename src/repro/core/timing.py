@@ -27,13 +27,18 @@ two agree within the fill/rounding slack, and the benchmarks report both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.core.analytical import full_system_time_s, optical_core_time_s
+import numpy as np
+
+from repro.core.analytical import (
+    _kernel_passes,
+    _kernels_per_pass,
+    full_system_time_s,
+    optical_core_time_s,
+)
 from repro.core.config import PCNNAConfig
-from repro.core.scheduler import LayerSchedule
-from repro.electronics.adc import AdcArray
+from repro.core.pipeline import STAGE_NAMES, _location_stages
 from repro.electronics.dac import DacArray
 from repro.electronics.dram import Dram
 from repro.nn.shapes import ConvLayerSpec
@@ -122,99 +127,33 @@ def simulate_layer(
         The :class:`LayerTimingResult` for the layer.
     """
     cfg = config if config is not None else PCNNAConfig()
-    schedule = LayerSchedule(spec)
-    input_dacs = DacArray(cfg.num_input_dacs, cfg.input_dac)
-    weight_dacs = DacArray(cfg.num_weight_dacs, cfg.weight_dac)
-    adcs = AdcArray(cfg.num_adcs, cfg.adc)
-    dram = Dram(cfg.dram)
+    passes = _kernel_passes(spec, cfg)
+    fetched, service = _location_stages(spec, cfg, include_adc)
 
-    if cfg.max_parallel_kernels is None:
-        kernels_per_pass = spec.num_kernels
-    else:
-        kernels_per_pass = min(spec.num_kernels, cfg.max_parallel_kernels)
-    passes = math.ceil(spec.num_kernels / kernels_per_pass)
-
-    fast_period = cfg.fast_clock_period_s
-    value_bytes = cfg.value_bytes
-
-    fetch_total = 0.0
-    convert_total = 0.0
-    compute_total = 0.0
-    digitize_total = 0.0
-    pipelined_total = 0.0
-    dac_bound = 0
-    adc_bound = 0
-    max_stage_seen = 0.0
-
-    adc_time = adcs.schedule(kernels_per_pass).time_s if include_adc else 0.0
-
-    # DRAM fetch policy: if the SRAM cache holds the live m-row working
-    # set, each input value streams from DRAM only on its first window
-    # membership (row reuse); otherwise every window entry re-fetches.
-    sram_fits = schedule.working_set_values() <= cfg.sram.capacity_words
-    first_touch = schedule.first_touch_counts()
-
-    for step in schedule.steps():
-        fetched_values = (
-            int(first_touch[step.index]) if sram_fits else step.new_values
-        )
-        # Bursts ride an open row, so only bandwidth is paid per location.
-        fetch_time = dram.stream_read(fetched_values * value_bytes)
-        convert_time = input_dacs.schedule(step.new_values).time_s
-        compute_time = fast_period
-
-        stage_times = {
-            "fetch": fetch_time,
-            "convert": convert_time,
-            "compute": compute_time,
-            "digitize": adc_time,
-        }
-        fetch_total += fetch_time
-        convert_total += convert_time
-        compute_total += compute_time
-        digitize_total += adc_time
-
-        slowest = max(stage_times.values())
-        pipelined_total += slowest
-        max_stage_seen = max(max_stage_seen, slowest)
-        if slowest == convert_time and convert_time >= adc_time:
-            dac_bound += 1
-        elif slowest == adc_time:
-            adc_bound += 1
-        dram.stream_write(kernels_per_pass * value_bytes)
-
-    # Sequential kernel passes repeat the whole location walk.
-    fetch_total *= passes
-    convert_total *= passes
-    compute_total *= passes
-    digitize_total *= passes
-    pipelined_total *= passes
+    # Strict left folds over the locations (np.sum would fold pairwise);
+    # sequential kernel passes repeat the whole location walk.
+    totals = np.add.accumulate(service, axis=1)[:, -1] * passes
+    stages = StageBreakdown(*totals.tolist())
+    slowest = service.max(axis=0)
+    _, convert, _, digitize = service
+    dac_bound = (slowest == convert) & (convert >= digitize)
+    adc_bound = ~dac_bound & (slowest == digitize)
 
     # Pipeline fill: the first location's fetch/convert cannot overlap
     # anything, so add one full serial traversal of the non-dominant
     # stages for the first location (bounded by 3 stage maxima).
-    pipeline_fill = 3 * max_stage_seen
-    pipelined_total += pipeline_fill
+    pipelined_total = float(np.add.accumulate(slowest)[-1]) * passes
+    pipelined_total += 3 * float(slowest.max())
 
-    stages = StageBreakdown(
-        fetch_s=fetch_total,
-        convert_s=convert_total,
-        compute_s=compute_total,
-        digitize_s=digitize_total,
-    )
-    stage_map = {
-        "fetch": fetch_total,
-        "convert": convert_total,
-        "compute": compute_total,
-        "digitize": digitize_total,
-    }
-    bottleneck = max(stage_map, key=stage_map.__getitem__)
+    bottleneck = STAGE_NAMES[int(np.argmax(totals))]
 
     # Weight load: DRAM read of all weights plus the weight-DAC pass.
+    value_bytes = cfg.value_bytes
     weight_bytes = spec.total_weights * value_bytes
-    weight_load = dram.read(weight_bytes) + weight_dacs.schedule(
-        spec.total_weights
-    ).time_s
+    weight_load = Dram(cfg.dram).read(weight_bytes) + DacArray(
+        cfg.num_weight_dacs, cfg.weight_dac
+    ).schedule(spec.total_weights).time_s
+    output_values = spec.n_locs * _kernels_per_pass(spec, cfg)
 
     return LayerTimingResult(
         spec=spec,
@@ -223,9 +162,9 @@ def simulate_layer(
         weight_load_time_s=weight_load,
         stages=stages,
         bottleneck=bottleneck,
-        dac_bound_locations=dac_bound * passes,
-        adc_bound_locations=adc_bound * passes,
-        dram_bytes=dram.stats.total_bytes,
+        dac_bound_locations=int(dac_bound.sum()) * passes,
+        adc_bound_locations=int(adc_bound.sum()) * passes,
+        dram_bytes=weight_bytes + (int(fetched.sum()) + output_values) * value_bytes,
         analytical_optical_s=optical_core_time_s(spec, cfg),
         analytical_full_s=full_system_time_s(spec, cfg),
     )
