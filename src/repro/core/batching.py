@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.analytical import full_system_time_s, weight_load_time_s
 from repro.core.config import PCNNAConfig
+from repro.core.multicore import _require_count
 from repro.core.timing import simulate_layer
 from repro.nn.shapes import ConvLayerSpec
 
@@ -70,10 +71,9 @@ def layer_batch_time_s(
     """Time to run one layer over a batch: one weight load + B convs.
 
     Raises:
-        ValueError: if ``batch_size`` is not positive.
+        ValueError: if ``batch_size`` is not a positive integer.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch size must be positive, got {batch_size!r}")
+    _require_count("batch size", batch_size)
     cfg = config if config is not None else PCNNAConfig()
     return weight_load_time_s(spec, cfg) + batch_size * full_system_time_s(
         spec, cfg
@@ -91,9 +91,11 @@ def network_batch_timing(
     sequentially: load conv-i weights, stream the whole batch through
     conv-i, move on.  Intermediate feature maps stage in DRAM between
     layers exactly as in the single-image flow.
+
+    Raises:
+        ValueError: if ``batch_size`` is not a positive integer.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch size must be positive, got {batch_size!r}")
+    _require_count("batch size", batch_size)
     cfg = config if config is not None else PCNNAConfig()
     return _layer_sequential(
         batch_size,
@@ -117,10 +119,9 @@ def network_batch_timing_simulated(
     closed form ignores).
 
     Raises:
-        ValueError: if ``batch_size`` is not positive.
+        ValueError: if ``batch_size`` is not a positive integer.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch size must be positive, got {batch_size!r}")
+    _require_count("batch size", batch_size)
     cfg = config if config is not None else PCNNAConfig()
     results = [simulate_layer(spec, cfg, include_adc) for spec in specs]
     return _layer_sequential(

@@ -38,6 +38,7 @@ from repro.core.analytical import (
     optical_core_time_s,
 )
 from repro.core.config import PCNNAConfig
+from repro.core.multicore import _require_count
 from repro.core.pipeline import STAGE_NAMES, _location_stages
 from repro.electronics.dac import DacArray
 from repro.electronics.dram import Dram
@@ -227,10 +228,9 @@ def simulate_layer_batch(
     ``batch_size`` simulated pipelined location walks.
 
     Raises:
-        ValueError: if ``batch_size`` is not positive.
+        ValueError: if ``batch_size`` is not a positive integer.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch size must be positive, got {batch_size!r}")
+    _require_count("batch size", batch_size)
     layer = simulate_layer(spec, config, include_adc)
     total = layer.weight_load_time_s + batch_size * layer.pipelined_time_s
     return BatchLayerTimingResult(

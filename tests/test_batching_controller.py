@@ -1,13 +1,17 @@
 """Tests for the batching model and the layer-sequencing controller."""
 
+import math
+
 import pytest
 
 from repro.core.batching import (
     layer_batch_time_s,
     network_batch_timing,
+    network_batch_timing_simulated,
     weight_stationary_crossover,
 )
 from repro.core.controller import LayerController, Phase
+from repro.core.timing import simulate_layer_batch
 from repro.nn.shapes import ConvLayerSpec
 from repro.workloads import alexnet_conv_specs, alexnet_layer
 
@@ -27,6 +31,21 @@ class TestBatching:
             layer_batch_time_s(alexnet_layer("conv1"), 0)
         with pytest.raises(ValueError):
             network_batch_timing(alexnet_conv_specs(), -1)
+
+    @pytest.mark.parametrize(
+        "batch_time",
+        [
+            lambda b: layer_batch_time_s(alexnet_layer("conv5"), b),
+            lambda b: network_batch_timing([alexnet_layer("conv5")], b),
+            lambda b: network_batch_timing_simulated([alexnet_layer("conv5")], b),
+            lambda b: simulate_layer_batch(alexnet_layer("conv5"), b),
+        ],
+        ids=["layer", "network", "network-simulated", "simulate-layer"],
+    )
+    @pytest.mark.parametrize("batch_size", [2.5, True, math.nan, math.inf, 0, -1])
+    def test_batch_size_must_be_positive_integer(self, batch_time, batch_size):
+        with pytest.raises(ValueError, match="batch size"):
+            batch_time(batch_size)
 
     def test_throughput_improves_with_batch(self):
         specs = alexnet_conv_specs()
