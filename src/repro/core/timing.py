@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.analytical import (
     _kernel_passes,
-    _kernels_per_pass,
     full_system_time_s,
     optical_core_time_s,
 )
@@ -80,7 +79,8 @@ class LayerTimingResult:
         bottleneck: name of the stage with the largest accumulated time.
         dac_bound_locations: locations where the DAC was the slowest stage.
         adc_bound_locations: locations where the ADC was the slowest stage.
-        dram_bytes: total DRAM traffic (bytes).
+        dram_bytes: total DRAM traffic (bytes): the weights once, the
+            input fetches once per kernel pass, and all K output maps.
         analytical_optical_s: eq. (7) prediction for cross-checking.
         analytical_full_s: paper full-system (DAC-bound) prediction.
     """
@@ -154,7 +154,9 @@ def simulate_layer(
     weight_load = Dram(cfg.dram).read(weight_bytes) + DacArray(
         cfg.num_weight_dacs, cfg.weight_dac
     ).schedule(spec.total_weights).time_s
-    output_values = spec.n_locs * _kernels_per_pass(spec, cfg)
+    # Every pass re-streams the inputs; together the passes write all K
+    # output maps once.
+    input_values = passes * int(fetched.sum())
 
     return LayerTimingResult(
         spec=spec,
@@ -165,7 +167,7 @@ def simulate_layer(
         bottleneck=bottleneck,
         dac_bound_locations=int(dac_bound.sum()) * passes,
         adc_bound_locations=int(adc_bound.sum()) * passes,
-        dram_bytes=weight_bytes + (int(fetched.sum()) + output_values) * value_bytes,
+        dram_bytes=weight_bytes + (input_values + spec.n_output) * value_bytes,
         analytical_optical_s=optical_core_time_s(spec, cfg),
         analytical_full_s=full_system_time_s(spec, cfg),
     )

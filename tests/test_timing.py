@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import PAPER_CONFIG, PCNNAConfig, paper_assumptions
+from repro.core.scheduler import dram_traffic_bytes
 from repro.core.timing import simulate_layer, simulate_network
 from repro.nn.shapes import ConvLayerSpec
 from repro.workloads import alexnet_conv_specs, alexnet_layer
@@ -73,6 +74,22 @@ class TestTrafficAndWeights:
     def test_dram_traffic_positive(self):
         result = simulate_layer(alexnet_layer("conv5"), paper_assumptions())
         assert result.dram_bytes > 0
+
+    def test_dram_bytes_match_traffic_model_single_pass(self):
+        spec = alexnet_layer("conv2")  # Working set exceeds the SRAM.
+        result = simulate_layer(spec, PAPER_CONFIG)
+        assert result.dram_bytes == dram_traffic_bytes(spec)["total"]
+
+    def test_dram_bytes_refetch_inputs_every_pass(self):
+        spec = alexnet_layer("conv2")
+        config = replace(PAPER_CONFIG, max_parallel_kernels=64)  # 4 passes.
+        traffic = dram_traffic_bytes(spec)
+        result = simulate_layer(spec, config)
+        assert result.dram_bytes == (
+            traffic["weight_read"]
+            + 4 * traffic["input_read"]
+            + traffic["output_write"]
+        )
 
     def test_weight_load_accounts_all_weights(self):
         spec = alexnet_layer("conv1")
