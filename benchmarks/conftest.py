@@ -7,7 +7,20 @@ conclusions, so a green benchmark run *is* a successful reproduction.
 
 from __future__ import annotations
 
+import json
+import os
+import time
+from pathlib import Path
+
 import pytest
+
+PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
+"""Whether wall-clock floors and ceilings are enforced.
+
+``PCNNA_PERF_GATE=0`` (shared CI runners, erratic timing) keeps the perf
+benchmarks as functional smoke tests; outputs and bit-identity are
+checked either way.
+"""
 
 
 def emit(text: str) -> None:
@@ -15,6 +28,42 @@ def emit(text: str) -> None:
     print()
     print(text)
     print()
+
+
+def best_of(function, repeats: int):
+    """Minimum wall time over ``repeats`` calls plus the last result.
+
+    The minimum is the noise-robust statistic, and the first call
+    doubles as warm-up: the vectorized paths' first invocation pays
+    one-off numpy dispatch costs that would otherwise overstate small
+    timings.
+    """
+    result = None
+    best = float("inf")
+    for _ in range(repeats):
+        began = time.perf_counter()
+        result = function()
+        best = min(best, time.perf_counter() - began)
+    return best, result
+
+
+def _merge(into: dict, update: dict) -> None:
+    """Recursive dict merge: benchmarks share nested sections."""
+    for key, value in update.items():
+        if isinstance(value, dict) and isinstance(into.get(key), dict):
+            _merge(into[key], value)
+        else:
+            into[key] = value
+
+
+def record_bench(path: Path, update: dict) -> None:
+    """Merge one benchmark's results into the ``BENCH_*.json`` at ``path``."""
+    payload: dict = {}
+    if path.exists():
+        payload = json.loads(path.read_text())
+    _merge(payload, update)
+    payload["perf_gated"] = PERF_GATED
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture

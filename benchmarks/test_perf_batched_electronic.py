@@ -21,18 +21,14 @@ timing).
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import LocalResponseNorm, MaxPool2D, ReLU
-from conftest import emit
+from conftest import PERF_GATED, best_of, emit
 
 BATCH = 16
 MIN_SPEEDUP = 5.0
-PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
 
 # AlexNet electronic stages: (name, feature-map shape the stage sees,
 # whether the stage includes LRN).  relu/lrn/pool1 follows conv1
@@ -92,16 +88,6 @@ def _stage_batched(images: np.ndarray, with_lrn: bool) -> np.ndarray:
     return MaxPool2D(3, stride=2).forward_batch(current)
 
 
-def _time_best(fn, repeats: int) -> tuple[float, np.ndarray]:
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
-
-
 def test_batched_electronic_speedup_on_alexnet_batch16():
     rng = np.random.default_rng(0)
     rows = []
@@ -110,10 +96,10 @@ def test_batched_electronic_speedup_on_alexnet_batch16():
         images = rng.normal(size=(BATCH, *shape))
 
         F.max_pool2d(images, 3, 2)  # warm-up (allocator, code paths)
-        pool_batched_s, pool_out = _time_best(
+        pool_batched_s, pool_out = best_of(
             lambda: F.max_pool2d(images, 3, 2), repeats=5
         )
-        pool_loop_s, pool_loop_out = _time_best(
+        pool_loop_s, pool_loop_out = best_of(
             lambda: np.stack([_max_pool2d_loop(i, 3, 2) for i in images]),
             repeats=2,
         )
@@ -124,10 +110,10 @@ def test_batched_electronic_speedup_on_alexnet_batch16():
         )
 
         if with_lrn:
-            lrn_batched_s, lrn_out = _time_best(
+            lrn_batched_s, lrn_out = best_of(
                 lambda: F.local_response_norm(images), repeats=5
             )
-            lrn_loop_s, lrn_loop_out = _time_best(
+            lrn_loop_s, lrn_loop_out = best_of(
                 lambda: np.stack([_lrn_loop(i) for i in images]), repeats=2
             )
             assert np.allclose(
@@ -137,10 +123,10 @@ def test_batched_electronic_speedup_on_alexnet_batch16():
                 (f"{name}/lrn", shape, lrn_loop_s, lrn_batched_s)
             )
 
-        stage_batched_s, stage_out = _time_best(
+        stage_batched_s, stage_out = best_of(
             lambda: _stage_batched(images, with_lrn), repeats=3
         )
-        stage_loop_s, stage_loop_out = _time_best(
+        stage_loop_s, stage_loop_out = best_of(
             lambda: _stage_loop(images, with_lrn), repeats=1
         )
         assert np.allclose(

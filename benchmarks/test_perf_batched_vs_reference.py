@@ -9,12 +9,10 @@ recorded table; future PRs extend it to track the perf trajectory.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.accelerator import PhotonicConvolution
-from conftest import emit
+from conftest import best_of, emit
 
 BATCH = 16
 
@@ -25,19 +23,6 @@ LENET_CONV_LAYERS = [
 ]
 
 MIN_SPEEDUP = 5.0
-
-
-def _time_best(
-    engine: PhotonicConvolution, x: np.ndarray, k: np.ndarray, repeats: int
-):
-    """Best-of-``repeats`` wall time; shields against cold-start noise."""
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = engine.convolve(x, k)
-        best = min(best, time.perf_counter() - start)
-    return best, out
 
 
 def test_vectorized_speedup_on_lenet_batch16():
@@ -51,8 +36,8 @@ def test_vectorized_speedup_on_lenet_batch16():
         k = rng.normal(size=kernel_shape)
         # Warm-up pass keeps one-time NumPy/layer setup out of the timing.
         vectorized.convolve(x[:1], k)
-        vec_time, vec_out = _time_best(vectorized, x, k, repeats=3)
-        ref_time, ref_out = _time_best(reference, x, k, repeats=1)
+        vec_time, vec_out = best_of(lambda: vectorized.convolve(x, k), repeats=3)
+        ref_time, ref_out = best_of(lambda: reference.convolve(x, k), repeats=1)
         assert np.array_equal(vec_out, ref_out), name
         speedup = ref_time / vec_time
         rows.append((name, ref_time, vec_time, speedup))

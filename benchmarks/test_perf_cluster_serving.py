@@ -27,7 +27,6 @@ process-parallel (byte-equality asserted unconditionally).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -59,9 +58,8 @@ from repro.workloads import (
     lenet5_conv_specs,
     poisson_arrivals,
 )
-from conftest import emit
+from conftest import PERF_GATED, best_of, emit, record_bench
 
-PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
 KERNEL_RATIO_CEILING = 1.1
 SOAK_REQUESTS = 40_000
 TIMING_REPEATS = 5
@@ -75,24 +73,6 @@ GRID_SPEEDUP_FLOOR = 2.0  # cells/s, workers=4 over serial
 # Process parallelism cannot beat serial on a starved host; the cells/s
 # floor is only meaningful with enough cores to fan out to.
 PARALLEL_GATED = PERF_GATED and (os.cpu_count() or 1) >= GRID_WORKERS
-
-
-def _merge(into: dict, update: dict) -> None:
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(into.get(key), dict):
-            _merge(into[key], value)
-        else:
-            into[key] = value
-
-
-def _record(update: dict) -> None:
-    """Merge one benchmark's results into ``BENCH_cluster.json``."""
-    payload: dict = {}
-    if BENCH_PATH.exists():
-        payload = json.loads(BENCH_PATH.read_text())
-    _merge(payload, update)
-    payload["perf_gated"] = PERF_GATED
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _assert_reports_bit_identical(ref, vec) -> None:
@@ -158,17 +138,6 @@ def _inline_pr3_loop(model, policy, arrivals):
     return completion_s, tuple(batches)
 
 
-def _best_of(function, repeats=TIMING_REPEATS):
-    """Minimum wall time over repeats (noise-robust) plus the result."""
-    result = None
-    best = float("inf")
-    for _ in range(repeats):
-        began = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - began)
-    return best, result
-
-
 def test_kernel_refactor_within_1p1x_of_inline_loop(alexnet_specs):
     """The PR 4-style soak through the kernel: bit-identical to the
     inline pre-kernel loop and (when gated) within 1.1x of its wall
@@ -180,11 +149,13 @@ def test_kernel_refactor_within_1p1x_of_inline_loop(alexnet_specs):
         4.0 * model.capacity_rps(1), SOAK_REQUESTS, seed=13
     )
 
-    inline_s, (inline_completions, inline_batches) = _best_of(
-        lambda: _inline_pr3_loop(model, policy, arrivals)
+    inline_s, (inline_completions, inline_batches) = best_of(
+        lambda: _inline_pr3_loop(model, policy, arrivals),
+        repeats=TIMING_REPEATS,
     )
-    kernel_s, report = _best_of(
-        lambda: ServingSimulator(model, policy).run(arrivals)
+    kernel_s, report = best_of(
+        lambda: ServingSimulator(model, policy).run(arrivals),
+        repeats=TIMING_REPEATS,
     )
 
     assert np.array_equal(report.completion_s, inline_completions)
@@ -301,13 +272,13 @@ def test_multi_tenant_soak_vectorized_speedup():
             name, SOAK_RATE_RPS, SOAK_MIX_REQUESTS, seed=13
         )
         pool = len(tenants) * 2
-        ref_s, ref = _best_of(
+        ref_s, ref = best_of(
             lambda: simulate_cluster_serving(
                 tenants, arrivals, pool_size=pool, mode="reference"
             ),
             repeats=3,
         )
-        vec_s, vec = _best_of(
+        vec_s, vec = best_of(
             lambda: simulate_cluster_serving(
                 tenants, arrivals, pool_size=pool, mode="vectorized"
             ),
@@ -328,7 +299,8 @@ def test_multi_tenant_soak_vectorized_speedup():
         vec_total_s += vec_s
         total_requests += served
     speedup = ref_total_s / vec_total_s
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "multi_tenant_soak": {
                 "mixes": mixes,
@@ -388,7 +360,8 @@ def test_policy_grid_parallel_cells_per_second():
         _assert_reports_bit_identical(a.report, b.report)
 
     speedup = serial_s / parallel_s
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "policy_grid_parallel": {
                 "num_cells": cells,

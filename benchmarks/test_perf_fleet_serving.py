@@ -19,8 +19,6 @@ Run with ``-s`` to see the trajectory table.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -34,9 +32,8 @@ from repro.core.fleet import (
 )
 from repro.core.traffic import BatchingPolicy
 from repro.workloads import lenet5_conv_specs, poisson_arrivals
-from conftest import emit
+from conftest import PERF_GATED, best_of, emit, record_bench
 
-PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 POOL_SIZE = 3
@@ -63,41 +60,6 @@ def _tenants() -> tuple[ClusterTenant, ...]:
     )
 
 
-def _best_of(function, repeats: int = TIMING_REPEATS):
-    """Minimum wall time over repeats (noise-robust) plus the result.
-
-    The first call doubles as warm-up: the vectorized path's first
-    invocation pays one-off numpy dispatch costs that would otherwise
-    overstate small-trace timings.
-    """
-    result = None
-    best = float("inf")
-    for _ in range(repeats):
-        began = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - began)
-    return best, result
-
-
-def _merge(into: dict, update: dict) -> None:
-    """Recursive dict merge: the two benchmarks share nested sections."""
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(into.get(key), dict):
-            _merge(into[key], value)
-        else:
-            into[key] = value
-
-
-def _record(update: dict) -> None:
-    """Merge one benchmark's results into ``BENCH_fleet.json``."""
-    payload: dict = {}
-    if BENCH_PATH.exists():
-        payload = json.loads(BENCH_PATH.read_text())
-    _merge(payload, update)
-    payload["perf_gated"] = PERF_GATED
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_single_region_fleet_overhead_vs_cluster():
     """The differential scenario, timed: one healthy zero-RTT region.
 
@@ -108,13 +70,15 @@ def test_single_region_fleet_overhead_vs_cluster():
     """
     tenants = _tenants()
     arrival = {"solo": poisson_arrivals(RATE_RPS, DIFFERENTIAL, seed=31)}
-    cluster_s, cluster = _best_of(
-        lambda: simulate_cluster_serving(tenants, arrival, pool_size=POOL_SIZE)
+    cluster_s, cluster = best_of(
+        lambda: simulate_cluster_serving(tenants, arrival, pool_size=POOL_SIZE),
+        repeats=TIMING_REPEATS,
     )
-    fleet_s, fleet = _best_of(
+    fleet_s, fleet = best_of(
         lambda: simulate_fleet_serving(
             tenants, (RegionSpec("solo", POOL_SIZE),), {"solo": arrival}
-        )
+        ),
+        repeats=TIMING_REPEATS,
     )
     # The timed runs must agree bit for bit.
     cluster_tenant = cluster.tenant("solo")
@@ -127,7 +91,8 @@ def test_single_region_fleet_overhead_vs_cluster():
     assert cluster_tenant.batches == fleet_tenant.batches
 
     overhead = fleet_s / cluster_s
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "scenario": {
                 "network": "lenet5",
@@ -192,7 +157,8 @@ def test_million_request_multi_region_soak():
     assert np.all(np.isfinite(report.latencies_s))
     assert report.p99_s > 0.0
 
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "requests_per_second": {"fleet": {str(SOAK): SOAK / soak_s}},
             "soak_1m": {

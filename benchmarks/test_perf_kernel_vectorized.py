@@ -19,8 +19,6 @@ Run with ``-s`` to see the trajectory table.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -32,9 +30,8 @@ from repro.core.traffic import (
     ServingSimulator,
 )
 from repro.workloads import lenet5_conv_specs, poisson_arrivals
-from conftest import emit
+from conftest import PERF_GATED, best_of, emit, record_bench
 
-PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
 NUM_CORES = 3
@@ -58,41 +55,6 @@ def _trace(model: PipelineServiceModel, num_requests: int) -> np.ndarray:
     return poisson_arrivals(offered, num_requests, seed=29)
 
 
-def _best_of(function, repeats: int = TIMING_REPEATS):
-    """Minimum wall time over repeats (noise-robust) plus the result.
-
-    The first call doubles as warm-up: the vectorized path's first
-    invocation pays one-off numpy dispatch costs that would otherwise
-    overstate small-trace timings.
-    """
-    result = None
-    best = float("inf")
-    for _ in range(repeats):
-        began = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - began)
-    return best, result
-
-
-def _merge(into: dict, update: dict) -> None:
-    """Recursive dict merge: the two benchmarks share nested sections."""
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(into.get(key), dict):
-            _merge(into[key], value)
-        else:
-            into[key] = value
-
-
-def _record(update: dict) -> None:
-    """Merge one benchmark's results into ``BENCH_kernel.json``."""
-    payload: dict = {}
-    if BENCH_PATH.exists():
-        payload = json.loads(BENCH_PATH.read_text())
-    _merge(payload, update)
-    payload["perf_gated"] = PERF_GATED
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_vectorized_speedup_trajectory_vs_reference():
     """Reference vs vectorized requests/sec at 10k and 900k requests.
 
@@ -110,16 +72,17 @@ def test_vectorized_speedup_trajectory_vs_reference():
         # The reference loop is O(requests) Python; at 900k one timed
         # pass (~10s) is long enough that repeat noise is negligible.
         ref_repeats = TIMING_REPEATS if num_requests <= SMALL else 1
-        ref_s, ref = _best_of(
+        ref_s, ref = best_of(
             lambda: ServingSimulator(
                 model, BatchingPolicy.fifo(), mode="reference"
             ).run(arrivals),
             repeats=ref_repeats,
         )
-        vec_s, vec = _best_of(
+        vec_s, vec = best_of(
             lambda: ServingSimulator(
                 model, BatchingPolicy.fifo(), mode="vectorized"
-            ).run(arrivals)
+            ).run(arrivals),
+            repeats=TIMING_REPEATS,
         )
         # The timed runs must agree bit for bit — a fast wrong kernel
         # benchmarks nothing.
@@ -132,7 +95,8 @@ def test_vectorized_speedup_trajectory_vs_reference():
             f"  {num_requests:>10,} requests: reference {ref_s:8.3f} s, "
             f"vectorized {vec_s:8.3f} s -> {ref_s / vec_s:6.1f}x"
         )
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "scenario": {
                 "network": "lenet5",
@@ -182,7 +146,8 @@ def test_ten_million_request_soak_completes_in_seconds():
     assert np.all(report.completion_s > report.dispatch_s)
     assert all(0.0 < u <= 1.0 for u in report.core_utilization)
 
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "requests_per_second": {"vectorized": {str(SOAK): SOAK / soak_s}},
             "soak_10m": {

@@ -20,8 +20,6 @@ Run with ``-s`` to see the tables.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -41,9 +39,8 @@ from repro.core.adaptive import (
 from repro.core.faults import RecalibrationPolicy, simulate_degraded_serving
 from repro.core.traffic import BatchingPolicy
 from repro.workloads import fault_scenario, poisson_arrivals, serving_network
-from conftest import emit
+from conftest import PERF_GATED, best_of, emit, record_bench
 
-PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
 
 CONTROLLER_REQUESTS = 20_000
@@ -53,35 +50,6 @@ OVERHEAD_CEILING = 3.0  # adaptive wall time over static wall time
 GRID_CEILING_S = 60.0  # generous bound for the full default grid
 
 TIMING_REPEATS = 3
-
-
-def _best_of(function, repeats: int = TIMING_REPEATS):
-    """Minimum wall time over repeats (noise-robust) plus the result."""
-    result = None
-    best = float("inf")
-    for _ in range(repeats):
-        began = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - began)
-    return best, result
-
-
-def _merge(into: dict, update: dict) -> None:
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(into.get(key), dict):
-            _merge(into[key], value)
-        else:
-            into[key] = value
-
-
-def _record(update: dict) -> None:
-    """Merge one benchmark's results into ``BENCH_adaptive.json``."""
-    payload: dict = {}
-    if BENCH_PATH.exists():
-        payload = json.loads(BENCH_PATH.read_text())
-    _merge(payload, update)
-    payload["perf_gated"] = PERF_GATED
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_frozen_controller_overhead_vs_static():
@@ -101,7 +69,7 @@ def test_frozen_controller_overhead_vs_static():
         "slow-drift", CONTROLLER_CORES, float(arrivals[-1])
     )
     recal = RecalibrationPolicy(error_threshold=0.05)
-    static_s, static = _best_of(
+    static_s, static = best_of(
         lambda: simulate_degraded_serving(
             network,
             arrivals,
@@ -109,9 +77,10 @@ def test_frozen_controller_overhead_vs_static():
             schedule,
             CONTROLLER_CORES,
             recalibration=recal,
-        )
+        ),
+        repeats=TIMING_REPEATS,
     )
-    adaptive_s, adaptive = _best_of(
+    adaptive_s, adaptive = best_of(
         lambda: simulate_adaptive_serving(
             network,
             arrivals,
@@ -119,7 +88,8 @@ def test_frozen_controller_overhead_vs_static():
             schedule,
             CONTROLLER_CORES,
             controller=AdaptiveRecalibration.frozen(recal),
-        )
+        ),
+        repeats=TIMING_REPEATS,
     )
     # The timed runs must agree bit for bit.
     assert np.array_equal(static.completion_s, adaptive.completion_s)
@@ -127,7 +97,8 @@ def test_frozen_controller_overhead_vs_static():
     assert static.recalibrations == adaptive.recalibrations
 
     overhead = adaptive_s / static_s
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "scenario": {
                 "network": "lenet5",
@@ -176,7 +147,8 @@ def test_default_dominance_grid():
     assert "adaptive-recal" in winners
 
     cells = len(scenarios) * len(policies)
-    _record(
+    record_bench(
+        BENCH_PATH,
         {
             "dominance_grid": {
                 "num_scenarios": len(scenarios),
