@@ -8,7 +8,8 @@ cycle-level simulator exposes two further constraints:
 * **DRAM bandwidth** — at DDR3 rates the per-location input stream
   (~2.3 KB) takes 180 ns, making the system memory-bound.
 
-Both are recorded as extension findings in EXPERIMENTS.md.
+Both are extension findings; this file regenerates them
+(``test_adc_serialization``, ``test_dram_bandwidth``).
 """
 
 from dataclasses import replace

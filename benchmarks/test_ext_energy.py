@@ -52,7 +52,7 @@ def test_energy_per_layer(benchmark, alexnet_specs):
             title="Extension: conv energy per inference",
         )
     )
-    # Finding (recorded in EXPERIMENTS.md): PCNNA wins on latency but NOT
+    # Finding (regenerated by this test): PCNNA wins on latency but NOT
     # uniformly on energy — with all K banks live, ring heater power
     # (~1 mW x K x Nkernel rings) makes the ring-heavy layers (conv4:
     # 1.33 M rings = 1.3 kW) comparable to or worse than Eyeriss, while

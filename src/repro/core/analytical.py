@@ -22,7 +22,8 @@ Notes on fidelity:
   serialize the ADC (digitizing K outputs per location at 2.8 GSa/s would
   otherwise dominate for large K).  ``full_system_time_s`` reproduces the
   paper's model by default; pass ``include_adc_bound=True`` to see the
-  ADC-limited variant (an ablation in EXPERIMENTS.md).
+  ADC-limited variant (the ablation regenerated by
+  ``test_adc_serialization`` in ``benchmarks/test_ablation_bottlenecks.py``).
 * Kernel-weight loading happens once per layer and the paper excludes it
   from Tconv; it is reported separately as ``weight_load_time_s``.
 """

@@ -132,6 +132,7 @@ def paper_assumptions() -> PCNNAConfig:
     simulator reproduces the paper's DAC-bound regime; the default
     :data:`PAPER_CONFIG` keeps a realistic DDR3 channel, under which the
     simulator shows the system is actually memory-bound (an extension
-    finding recorded in EXPERIMENTS.md).
+    finding regenerated by ``test_dram_bandwidth`` in
+    ``benchmarks/test_ablation_bottlenecks.py``).
     """
     return replace(PCNNAConfig(), dram=DramSpec(bandwidth_bytes_per_s=1e15))

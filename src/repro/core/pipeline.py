@@ -19,6 +19,8 @@ a linear pipeline with unit buffers is
 
 and the layer time is the last job's exit from the last stage.  Tests
 verify the closed-form `timing.py` model brackets this exact result.
+Both models consume the one per-location stage array built here
+(:func:`stage_service_times`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """Cycle-level timing simulation of the full PCNNA pipeline.
 
 Where :mod:`repro.core.analytical` encodes the paper's closed-form model,
-this module *simulates* the Fig. 4 pipeline location by location:
+this module times the Fig. 4 pipeline location by location:
 
     DRAM -> input buffer -> SRAM cache -> DAC array -> MZM -> MRR banks
          -> balanced PDs -> ADC array -> output buffer -> DRAM
 
-Per location the stages are:
+It reduces the ``(4, Nlocs)`` per-location stage array of
+:func:`repro.core.pipeline.stage_service_times` — the same array the
+exact discrete-event :func:`~repro.core.pipeline.simulate_pipeline`
+runs — so the two models cannot disagree about a stage time.  Per
+location the stages are:
 
 * **fetch** — newly-required receptive-field values stream from DRAM
   (exact counts from the :class:`~repro.core.scheduler.LayerSchedule`,
@@ -19,7 +23,9 @@ Per location the stages are:
 Stages are double-buffered (the paper's buffers exist precisely to
 decouple them), so the steady-state per-location time is the *maximum*
 stage time and the layer time is ``sum(max per location) + pipeline
-fill``.  A non-pipelined mode (sum of all stages) is also reported.
+fill``, times the kernel-pass count.  The sums are strict left folds
+over the locations.  A non-pipelined mode (sum of all stages) is also
+reported.
 
 The simulator exists to validate the analytical model: tests assert the
 two agree within the fill/rounding slack, and the benchmarks report both.

@@ -63,7 +63,8 @@ class TestBottleneckIdentification:
 
     def test_ddr3_is_memory_bound(self):
         # With a realistic DDR3 channel the fetch stage dominates — the
-        # extension finding recorded in EXPERIMENTS.md.
+        # extension finding that benchmarks/test_ablation_bottlenecks.py
+        # (test_dram_bandwidth) regenerates.
         result = simulate_layer(
             alexnet_layer("conv4"), PCNNAConfig(), include_adc=False
         )
