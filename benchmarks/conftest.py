@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -20,6 +21,15 @@ PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
 ``PCNNA_PERF_GATE=0`` (shared CI runners, erratic timing) keeps the perf
 benchmarks as functional smoke tests; outputs and bit-identity are
 checked either way.
+"""
+
+
+BENCH_RECORD = os.environ.get("PCNNA_BENCH_RECORD", "0") == "1"
+"""Whether ``record_bench`` updates the ``BENCH_*.json`` files in place.
+
+Off by default, so a test run leaves the working tree clean.
+``PCNNA_BENCH_RECORD=1`` (set where a CI step uploads the trajectories)
+writes them at the repository root.
 """
 
 
@@ -57,13 +67,21 @@ def _merge(into: dict, update: dict) -> None:
 
 
 def record_bench(path: Path, update: dict) -> None:
-    """Merge one benchmark's results into the ``BENCH_*.json`` at ``path``."""
-    payload: dict = {}
-    if path.exists():
-        payload = json.loads(path.read_text())
-    _merge(payload, update)
-    payload["perf_gated"] = PERF_GATED
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Merge one benchmark's results into the ``BENCH_*.json`` at ``path``.
+
+    Without ``PCNNA_BENCH_RECORD=1`` (see :data:`BENCH_RECORD`) the
+    results are written to a same-named file in a temporary directory,
+    which is removed again.
+    """
+    with tempfile.TemporaryDirectory(prefix="pcnna-bench-") as scratch:
+        if not BENCH_RECORD:
+            path = Path(scratch) / path.name
+        payload: dict = {}
+        if path.exists():
+            payload = json.loads(path.read_text())
+        _merge(payload, update)
+        payload["perf_gated"] = PERF_GATED
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture

@@ -14,7 +14,10 @@ existing substrate rather than a new coupled event loop:
   region is down, ``least-loaded`` picks the region with the smallest
   fluid backlog, ``latency-weighted`` adds the inter-region RTT penalty
   to the backlog — with deterministic tie-breaking (RTT, then region
-  order);
+  order); ``mode="reference"`` routes load-aware traffic with the
+  scalar per-request loop, ``"auto"`` and ``"vectorized"`` split the
+  stream into independent reset segments and route them in numpy
+  lockstep, bit-identically;
 * cross-region **failover** derives from each region's pool-level
   :class:`~repro.core.faults.FaultSchedule`: any event at or above the
   policy's ``failover_threshold`` marks the region degraded for its
@@ -44,7 +47,6 @@ fleet benchmark asserts it on every run).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -62,7 +64,11 @@ from repro.core.cluster import (
 from repro.core.config import PCNNAConfig
 from repro.core.faults import FaultSchedule, RecalibrationPolicy
 from repro.core.multicore import _require_count
-from repro.core.simkernel import validate_arrival_trace, validate_kernel_mode
+from repro.core.simkernel import (
+    _maxplus_scan,
+    validate_arrival_trace,
+    validate_kernel_mode,
+)
 from repro.core.traffic import PipelineServiceModel, _LatencyPercentiles
 
 # Contract marker checked by `python -m repro.lint` (BIT001): the
@@ -80,6 +86,11 @@ FLEET_ROUTING_KINDS: tuple[str, ...] = (
 
 _PERMANENT_FAULT_KINDS = ("dead_rings", "stuck_rings")
 """Fault kinds whose degradation never reverts (faults.py semantics)."""
+
+_LOCKSTEP_MIN_SEGMENTS = 64
+"""Fewest live reset segments the load-aware router still advances in
+lockstep (at least 1); below this it finishes each one with the scalar
+step."""
 
 
 @dataclass(frozen=True)
@@ -682,13 +693,6 @@ def _inside_mask(bounds: np.ndarray | None, times: np.ndarray) -> np.ndarray:
     return (np.searchsorted(bounds, times, side="right") % 2).astype(bool)
 
 
-def _inside_at(bounds: np.ndarray | None, time_s: float) -> bool:
-    """Scalar version of :func:`_inside_mask`."""
-    if bounds is None:
-        return True
-    return bisect.bisect_right(bounds, time_s) % 2 == 1
-
-
 class FleetRuntime:
     """N regional cluster pools behind one global router.
 
@@ -711,8 +715,12 @@ class FleetRuntime:
         autoscaler: SLO-burn pool autoscaler; ``None`` keeps every
             region active for the whole run.
         config: hardware configuration for the regional runs.
-        mode: kernel execution mode handed to every regional cluster
-            run (``"auto"`` lets feedback-free regions vectorize).
+        mode: execution mode.  It selects the load-aware router —
+            ``"reference"`` walks the scalar greedy loop over the whole
+            stream; ``"auto"`` and ``"vectorized"`` route reset segments
+            in lockstep, with the same result — and is handed to every
+            regional cluster run (``"auto"`` lets feedback-free regions
+            vectorize).
 
     Raises:
         ValueError: on an empty tenant or region set, duplicate tenant
@@ -765,6 +773,8 @@ class FleetRuntime:
             estimate_region_capacity_rps(self.tenants, region, config)
             for region in regions
         )
+        # The router's per-request service quantum per region.
+        self._quantum_s = tuple(1.0 / rate for rate in self._capacity_rps)
 
     def _outage_windows(
         self, region: RegionSpec
@@ -911,45 +921,164 @@ class FleetRuntime:
         home region, tenant, then request index — all deterministic)
         keeping a per-region fluid ledger: each routed request extends
         its region's backlog by one mean service quantum.
+        ``mode="reference"`` walks the whole stream with
+        :meth:`_route_greedy`; the other modes split it into reset
+        segments first (:meth:`_route_segmented`).
+        """
+        keys = list(offered)
+        sizes = [offered[key].size for key in keys]
+        times = np.concatenate([offered[key] for key in keys])
+        stream = np.repeat(np.arange(len(keys)), sizes)
+        index_in = np.concatenate([np.arange(size) for size in sizes])
+        order = np.lexsort((index_in, stream, times))
+        times = times[order]
+        homes = np.array([key[0] for key in keys], dtype=np.int64)[
+            stream[order]
+        ]
+        if self.mode == "reference":
+            busy = [0.0] * len(self.regions)
+            choice = np.array(
+                self._route_greedy(times, homes, avail, busy), dtype=np.int64
+            )
+        else:
+            choice = self._route_segmented(times, homes, avail)
+        routed = np.empty_like(choice)
+        routed[order] = choice
+        return dict(
+            zip(keys, np.split(routed, np.cumsum(sizes)[:-1]))
+        )
+
+    def _route_greedy(
+        self,
+        times: np.ndarray,
+        homes: np.ndarray,
+        avail: list[np.ndarray | None],
+        busy: list[float],
+    ) -> list[int]:
+        """Route sorted requests one at a time; ``busy`` is the ledger.
+
+        The scalar greedy step: among the regions available at the
+        arrival, pick the smallest ``(score, rtt, index)`` key, where
+        the score is the backlog ``max(busy - t, 0)`` (plus the RTT
+        when latency-weighted); with no region available the request
+        drains at home.  Regions are scanned in index order, so a later
+        region wins only on a smaller ``(score, rtt)``.  The pick's
+        ledger entry becomes ``max(busy, t) + quantum``.  ``busy`` is
+        updated in place.
         """
         num_regions = len(self.regions)
         latency_weighted = self.routing.kind == "latency-weighted"
-        keys = list(offered)
-        times = np.concatenate([offered[key] for key in keys])
-        stream = np.concatenate(
-            [np.full(offered[key].size, pos) for pos, key in enumerate(keys)]
-        )
-        index_in = np.concatenate(
-            [np.arange(offered[key].size) for key in keys]
-        )
-        order = np.lexsort((index_in, stream, times))
-        quantum = [1.0 / rate for rate in self._capacity_rps]
-        busy_until = [0.0] * num_regions
-        server = {
-            key: np.empty(offered[key].size, dtype=np.int64) for key in keys
-        }
-        for position in order:
-            time_s = float(times[position])
-            home = keys[stream[position]][0]
-            best = None
-            best_key = None
+        quantum = self._quantum_s
+        rtt_rows = self.rtt_s.tolist()
+        inside = [
+            None if bounds is None else _inside_mask(bounds, times).tolist()
+            for bounds in avail
+        ]
+        choice = []
+        for position, (time_s, home) in enumerate(
+            zip(times.tolist(), homes.tolist())
+        ):
+            rtt_row = rtt_rows[home]
+            best = -1
+            best_score = best_rtt = 0.0
             for index in range(num_regions):
-                if not _inside_at(avail[index], time_s):
+                mask = inside[index]
+                if mask is not None and not mask[position]:
                     continue
-                backlog = max(busy_until[index] - time_s, 0.0)
-                rtt = float(self.rtt_s[home, index])
+                backlog = max(busy[index] - time_s, 0.0)
+                rtt = rtt_row[index]
                 score = backlog + rtt if latency_weighted else backlog
-                key = (score, rtt, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = index
-            if best is None:
+                if (
+                    best < 0
+                    or score < best_score
+                    or (score == best_score and rtt < best_rtt)
+                ):
+                    best, best_score, best_rtt = index, score, rtt
+            if best < 0:
                 best = home  # nothing available: drain at home
-            server[keys[stream[position]]][index_in[position]] = best
-            busy_until[best] = (
-                max(busy_until[best], time_s) + quantum[best]
+            choice.append(best)
+            busy[best] = max(busy[best], time_s) + quantum[best]
+        return choice
+
+    def _route_segmented(
+        self,
+        times: np.ndarray,
+        homes: np.ndarray,
+        avail: list[np.ndarray | None],
+    ) -> np.ndarray:
+        """:meth:`_route_greedy`'s exact result, one reset segment per lane.
+
+        Each routed request raises the largest ledger entry to at most
+        ``bound[k] = max(bound[k-1], t[k]) + max(quantum)`` (float
+        rounding is monotone), starting from the ledger's ``0.0``.
+        Wherever ``bound[k-1] <= t[k]`` every entry is at most ``t[k]``,
+        so every backlog is ``0.0`` and every ``max(busy, t)`` is ``t``
+        from there on: the ledger resets, and the ``0.0`` seed is
+        exact for every segment.  Segments are independent, so the
+        ``j``-th requests of all segments route together as array ops,
+        with the scalar step's arithmetic and ``(score, rtt, index)``
+        order.  Once fewer than :data:`_LOCKSTEP_MIN_SEGMENTS` remain,
+        :meth:`_route_greedy` finishes each from its carried ledger.
+        """
+        n = times.size
+        num_regions = len(self.regions)
+        latency_weighted = self.routing.kind == "latency-weighted"
+        quantum = self._quantum_s
+        entry = times.copy()
+        entry[0] = max(float(entry[0]), 0.0)
+        bound = _maxplus_scan(entry, np.full(n, max(quantum)))
+        starts = np.flatnonzero(
+            np.concatenate(([True], bound[:-1] <= times[1:]))
+        )
+        lens = np.diff(np.append(starts, n))
+        longest_first = np.argsort(-lens, kind="stable")
+        starts, lens = starts[longest_first], lens[longest_first]
+        # alive[j]: how many segments have a j-th request (0 past the end).
+        alive = np.searchsorted(-lens, -np.arange(int(lens[0]) + 1), "left")
+        rtt_to = [
+            np.ascontiguousarray(self.rtt_s[:, index])
+            for index in range(num_regions)
+        ]
+        busy = np.zeros((num_regions, starts.size))
+        choice = np.empty(n, dtype=np.int64)
+        step = 0
+        while alive[step] >= _LOCKSTEP_MIN_SEGMENTS:
+            live = int(alive[step])
+            at = starts[:live] + step
+            now = times[at]
+            home = homes[at]
+            best = np.full(live, -1, dtype=np.int64)
+            best_score = np.zeros(live)
+            best_rtt = np.zeros(live)
+            for index in range(num_regions):
+                backlog = np.maximum(busy[index, :live] - now, 0.0)
+                rtt = rtt_to[index][home]
+                score = backlog + rtt if latency_weighted else backlog
+                wins = (
+                    (best < 0)
+                    | (score < best_score)
+                    | ((score == best_score) & (rtt < best_rtt))
+                )
+                if avail[index] is not None:
+                    wins &= _inside_mask(avail[index], now)
+                best[wins] = index
+                best_score[wins] = score[wins]
+                best_rtt[wins] = rtt[wins]
+            np.copyto(best, home, where=best < 0)
+            choice[at] = best
+            for index in range(num_regions):
+                lane = np.flatnonzero(best == index)
+                busy[index, lane] = (
+                    np.maximum(busy[index, lane], now[lane]) + quantum[index]
+                )
+            step += 1
+        for lane in range(int(alive[step])):
+            lo = int(starts[lane]) + step
+            hi = int(starts[lane] + lens[lane])
+            choice[lo:hi] = self._route_greedy(
+                times[lo:hi], homes[lo:hi], avail, busy[:, lane].tolist()
             )
-        return server
+        return choice
 
     def run(
         self, arrival_s: Mapping[str, Mapping[str, np.ndarray]]
@@ -1265,6 +1394,9 @@ def simulate_fleet_serving(
     The fleet sibling of
     :func:`~repro.core.cluster.simulate_cluster_serving`: builds the
     :class:`FleetRuntime` and serves every region's offered streams.
+    ``mode`` selects the load-aware router as well as the regional
+    kernel mode: ``"reference"`` routes with the scalar loop, ``"auto"``
+    and ``"vectorized"`` with the bit-identical segmented router.
 
     Raises:
         ValueError: on an invalid tenant/region set, RTT matrix,

@@ -460,8 +460,9 @@ def execute_dispatch(
 # associative, so a closed-form `cumsum` would drift from the scalar
 # fold by ulps.  Each scan therefore (1) *speculates* the recurrence's
 # reset points from an approximate closed form, (2) folds each segment
-# with `np.cumsum` — which numpy evaluates as the exact left-to-right
-# fold the scalar loop performs — and (3) verifies the result
+# as the exact left-to-right fold the scalar loop performs (short
+# segments in lockstep, one add per element; long ones with `np.cumsum`,
+# which numpy evaluates as that same fold) — and (3) verifies the result
 # elementwise against the recurrence, repairing any mis-speculated
 # stretch with the scalar fold itself.  The verify step makes the output
 # exact regardless of speculation quality: a value sequence that
@@ -472,21 +473,31 @@ def execute_dispatch(
 _STREAK_MIN = 16
 _STREAK_MAX = 8192
 
+# Longest segment `_segmented_fold` advances in lockstep; longer
+# segments each take one `np.cumsum`.
+_FOLD_LOCKSTEP_MAX = 64
+
 
 def _segmented_fold(y: np.ndarray, d: np.ndarray, starts: np.ndarray) -> None:
     """Fold ``y[k] = y[k-1] + d[k]`` within each segment, in place.
 
-    ``y[starts]`` already holds each segment's reset value.  Length-1
-    and length-2 segments are handled as array ops; longer segments use
-    a per-segment ``np.cumsum`` (an exact left fold).
+    ``y[starts]`` already holds each segment's reset value.  Segments of
+    up to :data:`_FOLD_LOCKSTEP_MAX` elements advance in lockstep: step
+    ``j`` adds the ``j``-th element of every such segment at once, the
+    same one add per element as the scalar fold.  Longer segments use a
+    per-segment ``np.cumsum`` (also an exact left fold).
     """
-    n = y.size
-    bounds = np.append(starts, n)
-    lens = np.diff(bounds)
-    two = starts[lens == 2]
-    if two.size:
-        y[two + 1] = y[two] + d[two + 1]
-    for s, length in zip(starts[lens > 2].tolist(), lens[lens > 2].tolist()):
+    lens = np.diff(np.append(starts, y.size))
+    short = lens <= _FOLD_LOCKSTEP_MAX
+    heads, head_lens = starts[short], lens[short]
+    for j in range(1, _FOLD_LOCKSTEP_MAX):
+        alive = head_lens > j
+        heads, head_lens = heads[alive], head_lens[alive]
+        if not heads.size:
+            break
+        at = heads + j
+        y[at] = y[at - 1] + d[at]
+    for s, length in zip(starts[~short].tolist(), lens[~short].tolist()):
         seg = np.empty(length)
         seg[0] = y[s]
         seg[1:] = d[s + 1 : s + length]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.core.fleet as fleet_module
 from repro.analysis import FLEET_SWEEP_HEADER, sweep_fleet_serving
 from repro.core.cluster import (
     ClusterTenant,
@@ -698,6 +699,146 @@ class TestFleetMixes:
             fleet_mix("follow-the-sun", 0.0, 100)
         with pytest.raises(ValueError, match="request count"):
             fleet_mix("follow-the-sun", 1000.0, 0)
+
+
+def mix_autoscaler(scenario):
+    """The mix's own autoscaler, or a burn-relative one for mixes without.
+
+    Thresholds sit around the fleet's mean burn with only one pool
+    active at the start, so the autoscaler commissions and drains.
+    """
+    if scenario.autoscaler is not None:
+        return scenario.autoscaler
+    times = np.concatenate(
+        [t for region in scenario.arrival_s.values() for t in region.values()]
+    )
+    horizon = float(times.max())
+    capacity = sum(
+        estimate_region_capacity_rps(scenario.tenants, region)
+        for region in scenario.regions
+    )
+    mean_burn = times.size / (horizon * capacity)
+    return FleetAutoscaler(
+        epoch_s=horizon / 10.0,
+        burn_up=1.2 * mean_burn,
+        burn_down=0.7 * mean_burn,
+        warmup_s=horizon / 20.0,
+        min_pools=1,
+    )
+
+
+def shifted_arrivals(scenario, variant):
+    """The mix's traces as offered (``plain``), quantized to a coarse grid
+    so that requests tie exactly (``ties``), or moved wholly below zero
+    (``negative``), where the router's initial ``0.0`` ledger is not yet
+    idle."""
+    horizon = max(
+        float(t.max())
+        for region in scenario.arrival_s.values()
+        for t in region.values()
+    )
+    count = sum(
+        t.size for region in scenario.arrival_s.values()
+        for t in region.values()
+    )
+    grid = 8.0 * horizon / count
+    shifted = {}
+    for region, streams in scenario.arrival_s.items():
+        shifted[region] = {}
+        for tenant_name, times in streams.items():
+            if variant == "ties":
+                times = np.floor(times / grid) * grid
+            elif variant == "negative":
+                times = times - 1.5 * horizon
+            shifted[region][tenant_name] = times
+    return shifted
+
+
+ROUTER_RATE_RPS = 4e5
+"""Offered load near the mixes' pool capacity, so backlogs build."""
+
+ROUTER_RTT_SCALE = 2e-4
+"""Shrinks the mixes' 10 ms RTT to 2 us, about one service quantum, so
+latency-weighted routing trades backlog against RTT."""
+
+
+def router_case(name, kind, autoscale, variant):
+    """``(arrivals, run)`` for one router-mode comparison."""
+    scenario = fleet_mix(name, ROUTER_RATE_RPS, num_requests=600, seed=3)
+    arrival = shifted_arrivals(scenario, variant)
+    autoscaler = mix_autoscaler(scenario) if autoscale else None
+
+    def run(mode="auto"):
+        return simulate_fleet_serving(
+            scenario.tenants,
+            scenario.regions,
+            arrival,
+            rtt_s=scenario.rtt_s * ROUTER_RTT_SCALE,
+            routing=GlobalRoutingPolicy(kind=kind),
+            autoscaler=autoscaler,
+            mode=mode,
+        )
+
+    return arrival, run
+
+
+class TestLoadAwareRouterModes:
+    """The segmented router equals the scalar ``mode="reference"`` loop.
+
+    ``min_segments`` moves the lockstep → scalar hand-over: ``1`` routes
+    every segment in lockstep to its end, ``8`` hands the longest few
+    segments to the scalar step mid-way with their ledgers, ``None``
+    keeps the module default.
+    """
+
+    @pytest.mark.parametrize("min_segments", [1, 8, None])
+    @pytest.mark.parametrize("variant", ["plain", "ties", "negative"])
+    @pytest.mark.parametrize("autoscale", [True, False])
+    @pytest.mark.parametrize("kind", ["least-loaded", "latency-weighted"])
+    @pytest.mark.parametrize("name", FLEET_MIXES)
+    def test_reference_equals_auto(
+        self, monkeypatch, name, kind, autoscale, variant, min_segments
+    ):
+        if min_segments is not None:
+            monkeypatch.setattr(
+                fleet_module, "_LOCKSTEP_MIN_SEGMENTS", min_segments
+            )
+        _, run = router_case(name, kind, autoscale, variant)
+        reference, auto = run("reference"), run("auto")
+        assert len(reference.traces) == len(auto.traces)
+        for left, right in zip(reference.traces, auto.traces):
+            assert (left.home_region, left.tenant) == (
+                right.home_region,
+                right.tenant,
+            )
+            assert left.server_region.tobytes() == right.server_region.tobytes()
+            assert left.served.tobytes() == right.served.tobytes()
+            assert left.latency_s.tobytes() == right.latency_s.tobytes()
+        assert repr(reference.autoscale_events) == repr(auto.autoscale_events)
+        assert repr(reference.failovers) == repr(auto.failovers)
+
+    def test_variants_exercise_ties_negative_times_and_remote_routing(self):
+        arrival, run = router_case(
+            "burst-overflow", "latency-weighted", True, "ties"
+        )
+        merged = np.concatenate(
+            [t for region in arrival.values() for t in region.values()]
+        )
+        assert np.unique(merged).size < merged.size
+        report = run()
+        assert report.num_remote > 0
+        assert report.autoscale_events
+        arrival, run = router_case(
+            "burst-overflow", "least-loaded", False, "negative"
+        )
+        assert all(
+            float(t.max()) < 0.0
+            for region in arrival.values()
+            for t in region.values()
+        )
+        assert run().num_remote > 0
+        _, run = router_case("follow-the-sun", "least-loaded", True, "plain")
+        assert run().autoscale_events
 
 
 class TestFleetSweep:

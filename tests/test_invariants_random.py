@@ -45,6 +45,12 @@ geo-affinity while the home is healthy, keep every served latency
 finite and positive, and reproduce byte-identically under a fixed
 seed.
 
+The load-aware fleet router has two implementations: the scalar greedy
+loop (``mode="reference"``) and the reset-segment router (``"auto"``).
+Over the same draws, squeezed in time so backlogs build, shifted below
+zero, and with the lockstep → scalar hand-over moved, both must route,
+serve and autoscale byte-identically.
+
 PR 9 adds the adaptive control plane; over random (controller gain ×
 fault schedule × tenant mix) draws, runs driven by EWMA recalibration,
 burn-rate admission, and pressure-scaled reallocation must still
@@ -57,11 +63,14 @@ hypothesis-chosen seeds, so failures shrink and replay deterministically.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import repro.core.fleet as fleet_module
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.adaptive import (
@@ -89,6 +98,7 @@ from repro.core.faults import (
 )
 from repro.core.fleet import (
     FLEET_ROUTING_KINDS,
+    FleetAutoscaler,
     FleetRuntime,
     GlobalRoutingPolicy,
     RegionSpec,
@@ -956,6 +966,57 @@ class TestFleetServingInvariants:
             assert a.latency_s.tobytes() == b.latency_s.tobytes()
             assert a.server_region.tobytes() == b.server_region.tobytes()
             assert a.served.tobytes() == b.served.tobytes()
+
+
+    @given(
+        case=fleet_serving_case(),
+        kind=st.sampled_from(["least-loaded", "latency-weighted"]),
+        squeeze=st.sampled_from([1.0, 1e-3]),
+        shift=st.sampled_from([-_FAULT_HORIZON_S, 0.0]),
+        autoscale=st.booleans(),
+        min_segments=st.sampled_from([1, 2, 64]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_reference_routing_equals_auto(
+        self, case, kind, squeeze, shift, autoscale, min_segments
+    ):
+        tenants, regions, arrival_s, rtt_s, _ = case
+        arrival_s = {
+            region: {
+                name: times * squeeze + shift
+                for name, times in streams.items()
+            }
+            for region, streams in arrival_s.items()
+        }
+        autoscaler = (
+            FleetAutoscaler(epoch_s=_FAULT_HORIZON_S / 8.0)
+            if autoscale
+            else None
+        )
+
+        def run(mode):
+            return FleetRuntime(
+                tenants,
+                regions,
+                rtt_s=rtt_s,
+                routing=GlobalRoutingPolicy(kind=kind),
+                autoscaler=autoscaler,
+                mode=mode,
+            ).run(arrival_s)
+
+        with mock.patch.object(
+            fleet_module, "_LOCKSTEP_MIN_SEGMENTS", min_segments
+        ):
+            reference, auto = run("reference"), run("auto")
+        assert repr(reference.failovers) == repr(auto.failovers)
+        assert repr(reference.autoscale_events) == repr(
+            auto.autoscale_events
+        )
+        for a, b in zip(reference.traces, auto.traces):
+            assert (a.home_region, a.tenant) == (b.home_region, b.tenant)
+            assert a.server_region.tobytes() == b.server_region.tobytes()
+            assert a.served.tobytes() == b.served.tobytes()
+            assert a.latency_s.tobytes() == b.latency_s.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -626,6 +626,11 @@ class TestMaxPlusScanExactness:
             assert np.array_equal(
                 _maxplus_scan(e.copy(), d.copy()), self.scalar_scan(e, d)
             )
+        for _ in range(20):
+            e, d = self.segmented_case(rng)
+            expected = self.scalar_scan(e, d)
+            self.assert_both_fold_tiers(e[1:] >= expected[:-1])
+            assert np.array_equal(_maxplus_scan(e.copy(), d.copy()), expected)
 
     def test_const_scan_exact_on_wide_magnitude_inputs(self):
         from repro.core.simkernel import _maxplus_scan_const
@@ -643,3 +648,76 @@ class TestMaxPlusScanExactness:
                 _maxplus_scan_const(e.copy(), d, y0),
                 self.scalar_scan_const(e, d, y0),
             )
+        for _ in range(20):
+            d = float(np.abs(rng.normal()) * 10.0 ** rng.uniform(-4, 4))
+            e, _ = self.segmented_case(rng, const_d=d)
+            y0 = max(float(e[0]), 0.0)
+            expected = self.scalar_scan_const(e, d, y0)
+            self.assert_both_fold_tiers(e[1:] >= expected[:-1] + d)
+            assert np.array_equal(
+                _maxplus_scan_const(e.copy(), d, y0), expected
+            )
+
+    @staticmethod
+    def segment_lengths(rng):
+        """Segment lengths on both sides of the lockstep fold's limit."""
+        from repro.core.simkernel import _FOLD_LOCKSTEP_MAX
+
+        lengths = rng.integers(1, 2 * _FOLD_LOCKSTEP_MAX + 2, size=10)
+        lengths[:2] = (_FOLD_LOCKSTEP_MAX, _FOLD_LOCKSTEP_MAX + 1)
+        return rng.permutation(lengths)
+
+    @classmethod
+    def segmented_case(cls, rng, const_d=None):
+        """``(e, d)`` that reset exactly at chosen segment boundaries.
+
+        Within a segment arrivals trail the running fold by half of it
+        (so they never reset it); each segment starts two folds' length
+        after the previous one ends (so it always resets).  Service
+        times span sixteen decades unless ``const_d`` fixes them.
+        """
+        es, ds = [], []
+        start = 0.0
+        for length in cls.segment_lengths(rng):
+            if const_d is None:
+                d = np.abs(rng.normal(size=length)) + 0.5
+                d *= 10.0 ** rng.uniform(-8, 8, size=length)
+            else:
+                d = np.full(length, const_d)
+            es.append(start + 0.5 * (np.cumsum(d) - d))
+            ds.append(d)
+            start += 3.0 * float(np.sum(d)) + 1.0
+        return np.concatenate(es), np.concatenate(ds)
+
+    @staticmethod
+    def assert_both_fold_tiers(resets):
+        """The scalar fold's reset points cut segments on both sides of
+        the lockstep fold's limit, so both fold tiers run."""
+        from repro.core.simkernel import _FOLD_LOCKSTEP_MAX
+
+        starts = np.flatnonzero(np.concatenate(([True], resets)))
+        lengths = np.diff(np.append(starts, resets.size + 1))
+        assert np.any(lengths <= _FOLD_LOCKSTEP_MAX)
+        assert np.any(lengths > _FOLD_LOCKSTEP_MAX)
+
+    def test_segmented_fold_is_the_left_fold_in_both_tiers(self):
+        from repro.core.simkernel import _segmented_fold
+
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            lengths = self.segment_lengths(rng)
+            starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+            n = int(lengths.sum())
+            d = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-8, 8, n)
+            y = np.zeros(n)
+            y[starts] = rng.normal(size=starts.size) * 10.0 ** rng.uniform(
+                -8, 8, starts.size
+            )
+            expected = y.copy()
+            is_start = np.zeros(n, dtype=bool)
+            is_start[starts] = True
+            for k in range(1, n):
+                if not is_start[k]:
+                    expected[k] = float(expected[k - 1]) + float(d[k])
+            _segmented_fold(y, d, starts)
+            assert y.tobytes() == expected.tobytes()
