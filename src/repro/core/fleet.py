@@ -693,6 +693,26 @@ def _inside_mask(bounds: np.ndarray | None, times: np.ndarray) -> np.ndarray:
     return (np.searchsorted(bounds, times, side="right") % 2).astype(bool)
 
 
+def _ledger_resets(times: np.ndarray, quantum_s: float) -> np.ndarray:
+    """Where the load-aware router's fluid ledger provably resets.
+
+    Each routed request raises the largest ledger entry to at most
+    ``bound[k] = max(bound[k-1], t[k]) + quantum_s`` when ``quantum_s``
+    is the largest quantum (float rounding is monotone), starting from
+    the ledger's ``0.0``.  Wherever ``bound[k-1] <= t[k]`` every entry
+    is at most ``t[k]`` (and ``t[k] > 0``), so every backlog is ``0.0``
+    and every ``max(busy, t)`` is ``t`` from there on: a ``0.0`` ledger
+    routes the rest exactly as the real one would.  Returns the sorted
+    segment starts, ``0`` first.
+    """
+    # Clamping every arrival at 0.0 seeds bound[0] from the 0.0 ledger
+    # and changes nothing later: bound[k-1] >= quantum_s > 0 there.
+    bound = _maxplus_scan(
+        np.maximum(times, 0.0), np.broadcast_to(quantum_s, times.size)
+    )
+    return np.flatnonzero(np.concatenate(([True], bound[:-1] <= times[1:])))
+
+
 class FleetRuntime:
     """N regional cluster pools behind one global router.
 
@@ -928,13 +948,13 @@ class FleetRuntime:
         keys = list(offered)
         sizes = [offered[key].size for key in keys]
         times = np.concatenate([offered[key] for key in keys])
-        stream = np.repeat(np.arange(len(keys)), sizes)
-        index_in = np.concatenate([np.arange(size) for size in sizes])
-        order = np.lexsort((index_in, stream, times))
+        order = np.lexsort((
+            np.concatenate([np.arange(size) for size in sizes]),
+            np.repeat(np.arange(len(keys)), sizes),
+            times,
+        ))
         times = times[order]
-        homes = np.array([key[0] for key in keys], dtype=np.int64)[
-            stream[order]
-        ]
+        homes = np.repeat([key[0] for key in keys], sizes)[order]
         if self.mode == "reference":
             busy = [0.0] * len(self.regions)
             choice = np.array(
@@ -944,9 +964,7 @@ class FleetRuntime:
             choice = self._route_segmented(times, homes, avail)
         routed = np.empty_like(choice)
         routed[order] = choice
-        return dict(
-            zip(keys, np.split(routed, np.cumsum(sizes)[:-1]))
-        )
+        return dict(zip(keys, np.split(routed, np.cumsum(sizes)[:-1])))
 
     def _route_greedy(
         self,
@@ -1008,28 +1026,19 @@ class FleetRuntime:
     ) -> np.ndarray:
         """:meth:`_route_greedy`'s exact result, one reset segment per lane.
 
-        Each routed request raises the largest ledger entry to at most
-        ``bound[k] = max(bound[k-1], t[k]) + max(quantum)`` (float
-        rounding is monotone), starting from the ledger's ``0.0``.
-        Wherever ``bound[k-1] <= t[k]`` every entry is at most ``t[k]``,
-        so every backlog is ``0.0`` and every ``max(busy, t)`` is ``t``
-        from there on: the ledger resets, and the ``0.0`` seed is
-        exact for every segment.  Segments are independent, so the
-        ``j``-th requests of all segments route together as array ops,
-        with the scalar step's arithmetic and ``(score, rtt, index)``
-        order.  Once fewer than :data:`_LOCKSTEP_MIN_SEGMENTS` remain,
+        The stream splits where the ledger resets
+        (:func:`_ledger_resets`), and each segment starts from a ``0.0``
+        ledger.  Segments are independent, so the ``j``-th requests of
+        all segments route together as array ops, with the scalar
+        step's arithmetic and ``(score, rtt, index)`` order.  Once fewer
+        than :data:`_LOCKSTEP_MIN_SEGMENTS` remain,
         :meth:`_route_greedy` finishes each from its carried ledger.
         """
         n = times.size
         num_regions = len(self.regions)
         latency_weighted = self.routing.kind == "latency-weighted"
         quantum = self._quantum_s
-        entry = times.copy()
-        entry[0] = max(float(entry[0]), 0.0)
-        bound = _maxplus_scan(entry, np.full(n, max(quantum)))
-        starts = np.flatnonzero(
-            np.concatenate(([True], bound[:-1] <= times[1:]))
-        )
+        starts = _ledger_resets(times, max(quantum))
         lens = np.diff(np.append(starts, n))
         longest_first = np.argsort(-lens, kind="stable")
         starts, lens = starts[longest_first], lens[longest_first]
@@ -1067,9 +1076,10 @@ class FleetRuntime:
             np.copyto(best, home, where=best < 0)
             choice[at] = best
             for index in range(num_regions):
-                lane = np.flatnonzero(best == index)
-                busy[index, lane] = (
-                    np.maximum(busy[index, lane], now[lane]) + quantum[index]
+                picked = np.flatnonzero(best == index)
+                busy[index, picked] = (
+                    np.maximum(busy[index, picked], now[picked])
+                    + quantum[index]
                 )
             step += 1
         for lane in range(int(alive[step])):
