@@ -693,7 +693,9 @@ def _inside_mask(bounds: np.ndarray | None, times: np.ndarray) -> np.ndarray:
     return (np.searchsorted(bounds, times, side="right") % 2).astype(bool)
 
 
-def _ledger_resets(times: np.ndarray, quantum_s: float) -> np.ndarray:
+def _reset_segments(
+    times: np.ndarray, quantum_s: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Where the load-aware router's fluid ledger provably resets.
 
     Each routed request raises the largest ledger entry to at most
@@ -702,15 +704,21 @@ def _ledger_resets(times: np.ndarray, quantum_s: float) -> np.ndarray:
     the ledger's ``0.0``.  Wherever ``bound[k-1] <= t[k]`` every entry
     is at most ``t[k]`` (and ``t[k] > 0``), so every backlog is ``0.0``
     and every ``max(busy, t)`` is ``t`` from there on: a ``0.0`` ledger
-    routes the rest exactly as the real one would.  Returns the sorted
-    segment starts, ``0`` first.
+    routes the rest exactly as the real one would.  Returns the
+    segments' ``(starts, lengths)``, longest first (ties in stream
+    order).
     """
     # Clamping every arrival at 0.0 seeds bound[0] from the 0.0 ledger
     # and changes nothing later: bound[k-1] >= quantum_s > 0 there.
     bound = _maxplus_scan(
         np.maximum(times, 0.0), np.broadcast_to(quantum_s, times.size)
     )
-    return np.flatnonzero(np.concatenate(([True], bound[:-1] <= times[1:])))
+    starts = np.flatnonzero(
+        np.concatenate(([True], bound[:-1] <= times[1:]))
+    )
+    lengths = np.diff(np.append(starts, times.size))
+    longest_first = np.argsort(-lengths, kind="stable")
+    return starts[longest_first], lengths[longest_first]
 
 
 class FleetRuntime:
@@ -955,15 +963,12 @@ class FleetRuntime:
         ))
         times = times[order]
         homes = np.repeat([key[0] for key in keys], sizes)[order]
+        routed = np.empty(times.size, dtype=np.int64)
         if self.mode == "reference":
             busy = [0.0] * len(self.regions)
-            choice = np.array(
-                self._route_greedy(times, homes, avail, busy), dtype=np.int64
-            )
+            routed[order] = self._route_greedy(times, homes, avail, busy)
         else:
-            choice = self._route_segmented(times, homes, avail)
-        routed = np.empty_like(choice)
-        routed[order] = choice
+            self._route_segmented(times, homes, avail, order, routed)
         return dict(zip(keys, np.split(routed, np.cumsum(sizes)[:-1])))
 
     def _route_greedy(
@@ -1023,25 +1028,23 @@ class FleetRuntime:
         times: np.ndarray,
         homes: np.ndarray,
         avail: list[np.ndarray | None],
-    ) -> np.ndarray:
+        order: np.ndarray,
+        routed: np.ndarray,
+    ) -> None:
         """:meth:`_route_greedy`'s exact result, one reset segment per lane.
 
-        The stream splits where the ledger resets
-        (:func:`_ledger_resets`), and each segment starts from a ``0.0``
-        ledger.  Segments are independent, so the ``j``-th requests of
+        Sorted request ``k``'s region goes to ``routed[order[k]]``.  The
+        stream splits where the ledger resets (:func:`_reset_segments`),
+        and each segment starts from a ``0.0`` ledger.  Segments are independent, so the ``j``-th requests of
         all segments route together as array ops, with the scalar
         step's arithmetic and ``(score, rtt, index)`` order.  Once fewer
         than :data:`_LOCKSTEP_MIN_SEGMENTS` remain,
         :meth:`_route_greedy` finishes each from its carried ledger.
         """
-        n = times.size
         num_regions = len(self.regions)
         latency_weighted = self.routing.kind == "latency-weighted"
         quantum = self._quantum_s
-        starts = _ledger_resets(times, max(quantum))
-        lens = np.diff(np.append(starts, n))
-        longest_first = np.argsort(-lens, kind="stable")
-        starts, lens = starts[longest_first], lens[longest_first]
+        starts, lens = _reset_segments(times, max(quantum))
         # alive[j]: how many segments have a j-th request (0 past the end).
         alive = np.searchsorted(-lens, -np.arange(int(lens[0]) + 1), "left")
         rtt_to = [
@@ -1049,7 +1052,6 @@ class FleetRuntime:
             for index in range(num_regions)
         ]
         busy = np.zeros((num_regions, starts.size))
-        choice = np.empty(n, dtype=np.int64)
         step = 0
         while alive[step] >= _LOCKSTEP_MIN_SEGMENTS:
             live = int(alive[step])
@@ -1074,7 +1076,7 @@ class FleetRuntime:
                 best_score[wins] = score[wins]
                 best_rtt[wins] = rtt[wins]
             np.copyto(best, home, where=best < 0)
-            choice[at] = best
+            routed[order[at]] = best
             for index in range(num_regions):
                 picked = np.flatnonzero(best == index)
                 busy[index, picked] = (
@@ -1085,10 +1087,9 @@ class FleetRuntime:
         for lane in range(int(alive[step])):
             lo = int(starts[lane]) + step
             hi = int(starts[lane] + lens[lane])
-            choice[lo:hi] = self._route_greedy(
+            routed[order[lo:hi]] = self._route_greedy(
                 times[lo:hi], homes[lo:hi], avail, busy[:, lane].tolist()
             )
-        return choice
 
     def run(
         self, arrival_s: Mapping[str, Mapping[str, np.ndarray]]
