@@ -962,13 +962,27 @@ class FleetRuntime:
             times,
         ))
         times = times[order]
-        homes = np.repeat([key[0] for key in keys], sizes)[order]
+        # Cut the segments before the home and result arrays exist, and
+        # keep the homes narrow: the bound scan and the first lockstep
+        # steps set the router's memory peak.
+        segments = (
+            None
+            if self.mode == "reference"
+            else _reset_segments(times, max(self._quantum_s))
+        )
+        home_of = np.array(
+            [key[0] for key in keys],
+            dtype=np.min_scalar_type(len(self.regions)),
+        )
+        homes = np.repeat(home_of, sizes)[order]
         routed = np.empty(times.size, dtype=np.int64)
-        if self.mode == "reference":
+        if segments is None:
             busy = [0.0] * len(self.regions)
             routed[order] = self._route_greedy(times, homes, avail, busy)
         else:
-            self._route_segmented(times, homes, avail, order, routed)
+            self._route_segmented(
+                times, homes, avail, order, routed, *segments
+            )
         return dict(zip(keys, np.split(routed, np.cumsum(sizes)[:-1])))
 
     def _route_greedy(
@@ -1030,21 +1044,24 @@ class FleetRuntime:
         avail: list[np.ndarray | None],
         order: np.ndarray,
         routed: np.ndarray,
+        starts: np.ndarray,
+        lens: np.ndarray,
     ) -> None:
         """:meth:`_route_greedy`'s exact result, one reset segment per lane.
 
         Sorted request ``k``'s region goes to ``routed[order[k]]``.  The
-        stream splits where the ledger resets (:func:`_reset_segments`),
-        and each segment starts from a ``0.0`` ledger.  Segments are independent, so the ``j``-th requests of
-        all segments route together as array ops, with the scalar
-        step's arithmetic and ``(score, rtt, index)`` order.  Once fewer
-        than :data:`_LOCKSTEP_MIN_SEGMENTS` remain,
-        :meth:`_route_greedy` finishes each from its carried ledger.
+        stream splits where the ledger resets (``starts`` and ``lens``,
+        from :func:`_reset_segments`), and each segment starts from a
+        ``0.0`` ledger.  Segments are
+        independent, so the ``j``-th requests of all segments route
+        together as array ops, with the scalar step's arithmetic and
+        ``(score, rtt, index)`` order.  Once fewer than
+        :data:`_LOCKSTEP_MIN_SEGMENTS` remain, :meth:`_route_greedy`
+        finishes each from its carried ledger.
         """
         num_regions = len(self.regions)
         latency_weighted = self.routing.kind == "latency-weighted"
         quantum = self._quantum_s
-        starts, lens = _reset_segments(times, max(quantum))
         # alive[j]: how many segments have a j-th request (0 past the end).
         alive = np.searchsorted(-lens, -np.arange(int(lens[0]) + 1), "left")
         rtt_to = [

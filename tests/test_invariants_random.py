@@ -71,7 +71,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.fleet as fleet_module
-
 from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.adaptive import (
     DECISION_ACTIONS,
@@ -966,7 +965,6 @@ class TestFleetServingInvariants:
             assert a.latency_s.tobytes() == b.latency_s.tobytes()
             assert a.server_region.tobytes() == b.server_region.tobytes()
             assert a.served.tobytes() == b.served.tobytes()
-
 
     @given(
         case=fleet_serving_case(),
