@@ -1052,12 +1052,11 @@ class FleetRuntime:
         Sorted request ``k``'s region goes to ``routed[order[k]]``.  The
         stream splits where the ledger resets (``starts`` and ``lens``,
         from :func:`_reset_segments`), and each segment starts from a
-        ``0.0`` ledger.  Segments are
-        independent, so the ``j``-th requests of all segments route
-        together as array ops, with the scalar step's arithmetic and
-        ``(score, rtt, index)`` order.  Once fewer than
-        :data:`_LOCKSTEP_MIN_SEGMENTS` remain, :meth:`_route_greedy`
-        finishes each from its carried ledger.
+        ``0.0`` ledger.  Segments are independent, so the ``j``-th
+        requests of all segments route together as array ops, with the
+        scalar step's arithmetic and ``(score, rtt, index)`` order.
+        Once fewer than :data:`_LOCKSTEP_MIN_SEGMENTS` remain,
+        :meth:`_route_greedy` finishes each from its carried ledger.
         """
         num_regions = len(self.regions)
         latency_weighted = self.routing.kind == "latency-weighted"
