@@ -73,9 +73,9 @@ def record_bench(path: Path, update: dict) -> None:
     results are written to a same-named file in a temporary directory,
     which is removed again.
     """
-    with tempfile.TemporaryDirectory(prefix="pcnna-bench-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="pcnna-bench-") as temp_dir:
         if not BENCH_RECORD:
-            path = Path(scratch) / path.name
+            path = Path(temp_dir) / path.name
         payload: dict = {}
         if path.exists():
             payload = json.loads(path.read_text())
