@@ -460,8 +460,8 @@ def execute_dispatch(
 # associative, so a closed-form `cumsum` would drift from the scalar
 # fold by ulps.  Each scan therefore (1) *speculates* the recurrence's
 # reset points from an approximate closed form, (2) folds each segment
-# as the exact left-to-right fold the scalar loop performs (short
-# segments in lockstep, one add per element; long ones with `np.cumsum`,
+# as the exact left-to-right fold the scalar loop performs (segments in
+# lockstep, one add per element, then any long rest with `np.cumsum`,
 # which numpy evaluates as that same fold) — and (3) verifies the result
 # elementwise against the recurrence, repairing any mis-speculated
 # stretch with the scalar fold itself.  The verify step makes the output
@@ -473,35 +473,34 @@ def execute_dispatch(
 _STREAK_MIN = 16
 _STREAK_MAX = 8192
 
-# Longest segment `_segmented_fold` advances in lockstep; longer
-# segments each take one `np.cumsum`.
-_FOLD_LOCKSTEP_MAX = 64
-
 
 def _segmented_fold(y: np.ndarray, d: np.ndarray, starts: np.ndarray) -> None:
     """Fold ``y[k] = y[k-1] + d[k]`` within each segment, in place.
 
-    ``y[starts]`` already holds each segment's reset value.  Segments of
-    up to :data:`_FOLD_LOCKSTEP_MAX` elements advance in lockstep: step
-    ``j`` adds the ``j``-th element of every such segment at once, the
-    same one add per element as the scalar fold.  Longer segments use a
-    per-segment ``np.cumsum`` (also an exact left fold).
+    ``y[starts]`` already holds each segment's reset value.  Step ``j``
+    adds the ``j``-th element of every segment that has one, all at
+    once: the same one add per element as the scalar fold.  Steps go on
+    while at least ``j`` segments take part, so there are never more
+    steps than segments served (the step count is the h-index of the
+    segments' add counts).  Each segment still unfinished then takes
+    one ``np.cumsum`` over its rest, also an exact left fold.
     """
-    lens = np.diff(np.append(starts, y.size))
-    short = lens <= _FOLD_LOCKSTEP_MAX
-    heads, head_lens = starts[short], lens[short]
-    for j in range(1, _FOLD_LOCKSTEP_MAX):
-        alive = head_lens > j
-        heads, head_lens = heads[alive], head_lens[alive]
-        if not heads.size:
+    heads = starts
+    ends = np.append(starts[1:], y.size)
+    step = 1
+    while True:
+        live = heads + step < ends
+        heads, ends = heads[live], ends[live]
+        if heads.size < step:
             break
-        at = heads + j
+        at = heads + step
         y[at] = y[at - 1] + d[at]
-    for s, length in zip(starts[~short].tolist(), lens[~short].tolist()):
-        seg = np.empty(length)
+        step += 1
+    for s, stop in zip((heads + step - 1).tolist(), ends.tolist()):
+        seg = np.empty(stop - s)
         seg[0] = y[s]
-        seg[1:] = d[s + 1 : s + length]
-        y[s : s + length] = np.cumsum(seg)
+        seg[1:] = d[s + 1 : stop]
+        y[s:stop] = np.cumsum(seg)
 
 
 def _maxplus_scan(e: np.ndarray, d: np.ndarray) -> np.ndarray:

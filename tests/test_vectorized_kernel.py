@@ -610,7 +610,7 @@ class TestMaxPlusScanExactness:
             y[k] = max(float(e[k]), float(y[k - 1]) + d)
         return y
 
-    def test_scan_exact_on_wide_magnitude_inputs(self):
+    def test_scan_exact_on_wide_magnitude_inputs(self, monkeypatch):
         from repro.core.simkernel import _maxplus_scan
 
         rng = np.random.default_rng(0)
@@ -626,13 +626,15 @@ class TestMaxPlusScanExactness:
             assert np.array_equal(
                 _maxplus_scan(e.copy(), d.copy()), self.scalar_scan(e, d)
             )
+        folds = self.record_folds(monkeypatch)
         for _ in range(20):
             e, d = self.segmented_case(rng)
-            expected = self.scalar_scan(e, d)
-            self.assert_both_fold_tiers(e[1:] >= expected[:-1])
-            assert np.array_equal(_maxplus_scan(e.copy(), d.copy()), expected)
+            assert np.array_equal(
+                _maxplus_scan(e.copy(), d.copy()), self.scalar_scan(e, d)
+            )
+        self.assert_folds_exact_in_both_tiers(folds, calls=20)
 
-    def test_const_scan_exact_on_wide_magnitude_inputs(self):
+    def test_const_scan_exact_on_wide_magnitude_inputs(self, monkeypatch):
         from repro.core.simkernel import _maxplus_scan_const
 
         rng = np.random.default_rng(1)
@@ -648,37 +650,32 @@ class TestMaxPlusScanExactness:
                 _maxplus_scan_const(e.copy(), d, y0),
                 self.scalar_scan_const(e, d, y0),
             )
+        folds = self.record_folds(monkeypatch)
         for _ in range(20):
             d = float(np.abs(rng.normal()) * 10.0 ** rng.uniform(-4, 4))
             e, _ = self.segmented_case(rng, const_d=d)
             y0 = max(float(e[0]), 0.0)
-            expected = self.scalar_scan_const(e, d, y0)
-            self.assert_both_fold_tiers(e[1:] >= expected[:-1] + d)
             assert np.array_equal(
-                _maxplus_scan_const(e.copy(), d, y0), expected
+                _maxplus_scan_const(e.copy(), d, y0),
+                self.scalar_scan_const(e, d, y0),
             )
-
-    @staticmethod
-    def segment_lengths(rng):
-        """Segment lengths on both sides of the lockstep fold's limit."""
-        from repro.core.simkernel import _FOLD_LOCKSTEP_MAX
-
-        lengths = rng.integers(1, 2 * _FOLD_LOCKSTEP_MAX + 2, size=10)
-        lengths[:2] = (_FOLD_LOCKSTEP_MAX, _FOLD_LOCKSTEP_MAX + 1)
-        return rng.permutation(lengths)
+        self.assert_folds_exact_in_both_tiers(folds, calls=20)
 
     @classmethod
     def segmented_case(cls, rng, const_d=None):
         """``(e, d)`` that reset exactly at chosen segment boundaries.
 
-        Within a segment arrivals trail the running fold by half of it
-        (so they never reset it); each segment starts two folds' length
-        after the previous one ends (so it always resets).  Service
-        times span sixteen decades unless ``const_d`` fixes them.
+        A dozen segments of 1 to 129 elements: enough of them for
+        several lockstep fold steps, long enough to leave ``np.cumsum``
+        tails.  Within a segment arrivals trail the running fold by half
+        of it (so they never reset it); each segment starts two folds'
+        length after the previous one ends (so it always resets).
+        Service times span sixteen decades unless ``const_d`` fixes
+        them.
         """
         es, ds = [], []
         start = 0.0
-        for length in cls.segment_lengths(rng):
+        for length in rng.integers(1, 130, size=12):
             if const_d is None:
                 d = np.abs(rng.normal(size=length)) + 0.5
                 d *= 10.0 ** rng.uniform(-8, 8, size=length)
@@ -690,22 +687,66 @@ class TestMaxPlusScanExactness:
         return np.concatenate(es), np.concatenate(ds)
 
     @staticmethod
-    def assert_both_fold_tiers(resets):
-        """The scalar fold's reset points cut segments on both sides of
-        the lockstep fold's limit, so both fold tiers run."""
-        from repro.core.simkernel import _FOLD_LOCKSTEP_MAX
+    def record_folds(monkeypatch):
+        """Record each ``_segmented_fold`` call's inputs and result."""
+        import repro.core.simkernel as simkernel
 
-        starts = np.flatnonzero(np.concatenate(([True], resets)))
-        lengths = np.diff(np.append(starts, resets.size + 1))
-        assert np.any(lengths <= _FOLD_LOCKSTEP_MAX)
-        assert np.any(lengths > _FOLD_LOCKSTEP_MAX)
+        fold = simkernel._segmented_fold
+        calls = []
+
+        def recording(y, d, starts):
+            before = y.copy()
+            fold(y, d, starts)
+            calls.append((before, d.copy(), starts.copy(), y.copy()))
+
+        monkeypatch.setattr(simkernel, "_segmented_fold", recording)
+        return calls
+
+    @staticmethod
+    def scalar_fold(y, d, starts):
+        """``y[k] = y[k-1] + d[k]`` one element at a time, resetting at
+        ``starts``."""
+        y = y.copy()
+        is_start = np.zeros(y.size, dtype=bool)
+        is_start[starts] = True
+        for k in range(1, y.size):
+            if not is_start[k]:
+                y[k] = float(y[k - 1]) + float(d[k])
+        return y
+
+    @staticmethod
+    def fold_tiers(starts, n):
+        """``(lockstep steps, np.cumsum tails)`` of one fold call.
+
+        The steps are the h-index of the segments' add counts; the
+        segments with more adds than that finish with ``np.cumsum``.
+        """
+        adds = np.sort(np.diff(np.append(starts, n)) - 1)[::-1]
+        steps = int(np.count_nonzero(adds >= np.arange(1, adds.size + 1)))
+        return steps, int(np.count_nonzero(adds > steps))
+
+    @classmethod
+    def assert_folds_exact_in_both_tiers(cls, folds, calls):
+        """Every recorded fold is the scalar fold over the segments the
+        scan speculated, and each ran both lockstep steps and
+        ``np.cumsum`` tails."""
+        assert len(folds) == calls
+        for before, d, starts, after in folds:
+            assert after.tobytes() == cls.scalar_fold(before, d, starts).tobytes()
+            steps, tails = cls.fold_tiers(starts, d.size)
+            assert steps >= 2
+            assert tails >= 1
 
     def test_segmented_fold_is_the_left_fold_in_both_tiers(self):
         from repro.core.simkernel import _segmented_fold
 
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            lengths = self.segment_lengths(rng)
+        shapes = [
+            rng.integers(1, 130, size=12) for _ in range(20)
+        ] + [[1] * 50, [2] * 50, [1000], [64] * 8, [3, 200], [1, 1, 500]]
+        tiers = []
+        for lengths in shapes:
+            lengths = np.asarray(lengths)
             starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
             n = int(lengths.sum())
             d = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-8, 8, n)
@@ -713,11 +754,9 @@ class TestMaxPlusScanExactness:
             y[starts] = rng.normal(size=starts.size) * 10.0 ** rng.uniform(
                 -8, 8, starts.size
             )
-            expected = y.copy()
-            is_start = np.zeros(n, dtype=bool)
-            is_start[starts] = True
-            for k in range(1, n):
-                if not is_start[k]:
-                    expected[k] = float(expected[k - 1]) + float(d[k])
+            expected = self.scalar_fold(y, d, starts)
             _segmented_fold(y, d, starts)
             assert y.tobytes() == expected.tobytes()
+            tiers.append(self.fold_tiers(starts, n))
+        assert all(steps >= 2 and tails >= 1 for steps, tails in tiers[:20])
+        assert tiers[20:] == [(0, 0), (1, 0), (1, 1), (8, 8), (2, 1), (1, 1)]
