@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -69,19 +68,17 @@ def _merge(into: dict, update: dict) -> None:
 def record_bench(path: Path, update: dict) -> None:
     """Merge one benchmark's results into the ``BENCH_*.json`` at ``path``.
 
-    Without ``PCNNA_BENCH_RECORD=1`` (see :data:`BENCH_RECORD`) the
-    results are written to a same-named file in a temporary directory,
-    which is removed again.
+    The merged payload is serialized either way, but only written with
+    ``PCNNA_BENCH_RECORD=1`` (see :data:`BENCH_RECORD`).
     """
-    with tempfile.TemporaryDirectory(prefix="pcnna-bench-") as temp_dir:
-        if not BENCH_RECORD:
-            path = Path(temp_dir) / path.name
-        payload: dict = {}
-        if path.exists():
-            payload = json.loads(path.read_text())
-        _merge(payload, update)
-        payload["perf_gated"] = PERF_GATED
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload: dict = {}
+    if BENCH_RECORD and path.exists():
+        payload = json.loads(path.read_text())
+    _merge(payload, update)
+    payload["perf_gated"] = PERF_GATED
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if BENCH_RECORD:
+        path.write_text(text)
 
 
 @pytest.fixture
