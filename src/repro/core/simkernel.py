@@ -544,42 +544,6 @@ def _maxplus_scan(e: np.ndarray, d: np.ndarray) -> np.ndarray:
     return y
 
 
-def _maxplus_scan_const(e: np.ndarray, d: float, y0: float) -> np.ndarray:
-    """Exact fold of ``y[k] = max(e[k], y[k-1] + d)`` with ``y[0] = y0``.
-
-    This is the core-0 back-pressure recurrence of the fixed-size
-    planner: dispatch at the later of the policy trigger
-    (``e``) and core 0 freeing up ``d`` after the previous dispatch.
-    ``y0`` is the caller-computed first dispatch (its reference
-    arithmetic differs — it compares against the initial free time 0.0,
-    not against a previous dispatch).
-    """
-    n = e.size
-    y = np.empty(n)
-    if n == 0:
-        return y
-    anchor = e - np.cumsum(np.full(n, d)) + d
-    resets = anchor >= np.maximum.accumulate(anchor)
-    resets[0] = True
-    starts = np.flatnonzero(resets)
-    y[starts] = e[starts]
-    y[0] = y0
-    _segmented_fold(y, np.full(n, d), starts)
-    bad = np.flatnonzero(y[1:] != np.maximum(e[1:], y[:-1] + d)) + 1
-    if y[0] != y0:
-        bad = np.append(0, bad)
-    while bad.size:
-        k = int(bad[0])
-        while k < n:
-            cur = y0 if k == 0 else max(float(e[k]), float(y[k - 1]) + d)
-            if cur == y[k]:
-                break
-            y[k] = cur
-            k += 1
-        bad = bad[bad > k]
-    return y
-
-
 def _plan_batches_fixed(
     arrivals: np.ndarray, max_batch: int, busy0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -601,14 +565,22 @@ def _plan_batches_fixed(
     sizes = np.full(num_batches, m, dtype=np.int64)
     disp = np.empty(num_batches)
     bm = float(busy0[m])
+    free = 0.0
     if num_full:
+        # Core-0 back-pressure: disp[k] = max(fills[k], disp[k-1] + bm).
+        # Its free times disp[k] + bm are the hand-off scan over the
+        # fills with the first dispatch, which compares against the
+        # initial free time 0.0, in place of fills[0].
         fills = arrivals[m - 1 : num_full * m : m]
-        y0 = max(max(float(arrivals[0]), 0.0), float(fills[0]))
-        disp[:num_full] = _maxplus_scan_const(fills, bm, y0)
+        e = fills.copy()
+        e[0] = max(max(float(arrivals[0]), 0.0), float(fills[0]))
+        frees = _maxplus_scan(e, np.full(num_full, bm))
+        disp[0] = e[0]
+        disp[1:num_full] = np.maximum(fills[1:], frees[:-1])
+        free = float(frees[-1])
     if tail:
         sizes[-1] = tail
-        free = disp[num_full - 1] + bm if num_full else 0.0
-        disp[-1] = max(float(free), float(arrivals[-1]))
+        disp[-1] = max(free, float(arrivals[-1]))
     return heads, sizes, disp
 
 

@@ -13,19 +13,14 @@ Deliberate exceptions are waived inline with a justification::
 
     total = sum(ts)  # repro: allow[BIT001] strict left fold, fixed order
 
+That pragma is the only way to waive a finding, and LINT000-2 lint the
+pragmas themselves.
+
 Run it: ``python -m repro.lint src`` (or ``repro-lint`` once installed
 with the ``lint`` extra).  The tier-1 gate in
 ``tests/test_static_analysis.py`` runs the same pass over ``src/``.
 """
 
-from repro.lint.baseline import (
-    BASELINE_NAME,
-    Baseline,
-    BaselineEntry,
-    BaselineError,
-    format_baseline,
-    load_baseline,
-)
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Pragma, scan_pragmas
 from repro.lint.registry import Rule, all_rules, register, rule_codes
@@ -40,10 +35,6 @@ from repro.lint.runner import LintResult, run_lint
 from repro.lint.walker import ModuleInfo, Project, load_module
 
 __all__ = [
-    "BASELINE_NAME",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
     "Finding",
     "JSON_REPORT_VERSION",
     "LintResult",
@@ -52,8 +43,6 @@ __all__ = [
     "Project",
     "Rule",
     "all_rules",
-    "format_baseline",
-    "load_baseline",
     "load_module",
     "register",
     "render_json",

@@ -176,13 +176,38 @@ class TestFleetConfigValidation:
             )
         with pytest.raises(ValueError, match="no requests"):
             runtime.run({"r0": {}, "r1": {}})
-        with pytest.raises(ValueError, match="sorted"):
-            runtime.run(
-                {
-                    "r0": {"interactive": np.array([2.0, 1.0])},
-                    "r1": {},
-                }
+
+    @pytest.mark.parametrize(
+        "trace, match",
+        [
+            ([0.0, np.nan, 1.0], "must be finite"),
+            ([0.0, 1.0, np.inf], "must be finite"),
+            ([-np.inf, 0.0, 1.0], "must be finite"),
+            ([2.0, 1.0], "sorted"),
+        ],
+    )
+    def test_bad_trace_raises_the_same_message_in_every_mode(
+        self, trace, match
+    ):
+        """The front door rejects the trace before the least-loaded
+        router runs, whichever router the mode selects."""
+        messages = []
+        for mode in ("auto", "vectorized", "reference"):
+            runtime = FleetRuntime(
+                two_tenants(),
+                [RegionSpec("r0", 4), RegionSpec("r1", 4)],
+                routing=GlobalRoutingPolicy.least_loaded(),
+                mode=mode,
             )
+            with pytest.raises(ValueError, match=match) as caught:
+                runtime.run(
+                    {
+                        "r0": {"interactive": np.array(trace)},
+                        "r1": {"batch": poisson_arrivals(1e3, 10)},
+                    }
+                )
+            messages.append(str(caught.value))
+        assert len(set(messages)) == 1
 
 
 class TestFleetDifferential:

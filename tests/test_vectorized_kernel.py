@@ -635,7 +635,13 @@ class TestMaxPlusScanExactness:
         self.assert_folds_exact_in_both_tiers(folds, calls=20)
 
     def test_const_scan_exact_on_wide_magnitude_inputs(self, monkeypatch):
-        from repro.core.simkernel import _maxplus_scan_const
+        """The fixed-size planner's back-pressure scan at ``max_batch=1``:
+        its first dispatch is ``max(e[0], 0.0)``, then
+        ``y[k] = max(e[k], y[k-1] + d)``."""
+        from repro.core.simkernel import _plan_batches_fixed
+
+        def planned(e, d):
+            return _plan_batches_fixed(e.copy(), 1, np.array([0.0, d]))[2]
 
         rng = np.random.default_rng(1)
         for _ in range(100):
@@ -647,8 +653,7 @@ class TestMaxPlusScanExactness:
             d = float(np.abs(rng.normal()) * 10.0 ** rng.uniform(-4, 4))
             y0 = max(float(e[0]), 0.0)
             assert np.array_equal(
-                _maxplus_scan_const(e.copy(), d, y0),
-                self.scalar_scan_const(e, d, y0),
+                planned(e, d), self.scalar_scan_const(e, d, y0)
             )
         folds = self.record_folds(monkeypatch)
         for _ in range(20):
@@ -656,8 +661,7 @@ class TestMaxPlusScanExactness:
             e, _ = self.segmented_case(rng, const_d=d)
             y0 = max(float(e[0]), 0.0)
             assert np.array_equal(
-                _maxplus_scan_const(e.copy(), d, y0),
-                self.scalar_scan_const(e, d, y0),
+                planned(e, d), self.scalar_scan_const(e, d, y0)
             )
         self.assert_folds_exact_in_both_tiers(folds, calls=20)
 
