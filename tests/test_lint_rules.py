@@ -10,6 +10,7 @@ positive *and* negative examples and a fixture edit that shifts a line
 updates the expectation with it.
 """
 
+import inspect
 import json
 import re
 from collections import Counter
@@ -255,3 +256,68 @@ class TestCli:
     def test_missing_path_exits_2(self, capsys):
         assert main(["no/such/path"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_pragma_waiver_round_trip(self, tmp_path, capsys):
+        """A finding fails the run; a justified pragma on its line makes
+        the rerun clean and is listed, with its reason, under --verbose."""
+        target = tmp_path / "clock.py"
+        body = "import time\n\n\ndef now():\n    return time.time()"
+        target.write_text(body + "\n", encoding="utf-8")
+        assert main([str(target), "--root", str(tmp_path)]) == 1
+        assert "clock.py:5:" in capsys.readouterr().out
+
+        target.write_text(
+            body + "  # repro: allow[DET002] timestamps a log line\n",
+            encoding="utf-8",
+        )
+        code = main([str(target), "--root", str(tmp_path), "--verbose"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "0 finding(s) (1 suppressed by pragma)" in out
+        assert "DET002 suppressed by pragma: timestamps a log line" in out
+
+    def test_pragma_outliving_its_violation_fails_the_run(
+        self, tmp_path, capsys
+    ):
+        """A waiver left behind after the fix is a LINT002 finding, so a
+        stale waiver cannot sit unnoticed."""
+        target = tmp_path / "clock.py"
+        target.write_text(
+            "def now():\n"
+            "    return 0.0  # repro: allow[DET002] timestamps a log line\n",
+            encoding="utf-8",
+        )
+        assert main([str(target), "--root", str(tmp_path)]) == 1
+        assert "clock.py:2: LINT002" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--baseline", "lint_baseline.toml"],
+            ["--no-baseline"],
+            ["--write-baseline", "lint_baseline.toml"],
+        ],
+    )
+    def test_baseline_flags_are_rejected(self, flags, capsys):
+        """Pragmas are the one waiver path; the old baseline flags are
+        usage errors, not silently ignored options."""
+        with pytest.raises(SystemExit) as exited:
+            main([str(FIXTURES), "--root", str(FIXTURES), *flags])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_package_has_no_baseline_layer(self):
+        import repro.lint
+
+        assert not {
+            "BASELINE_NAME",
+            "Baseline",
+            "BaselineEntry",
+            "BaselineError",
+            "format_baseline",
+            "load_baseline",
+        } & set(repro.lint.__all__)
+        assert "baseline" not in inspect.signature(run_lint).parameters
+        assert JSON_REPORT_VERSION == 2
+        with pytest.raises(ModuleNotFoundError):
+            import repro.lint.baseline  # noqa: F401
